@@ -24,6 +24,7 @@ from typing import Iterable, Union
 
 from .codes import (
     CodeError,
+    CodeSyntaxError,
     KnotoidCode,
     MultiKnotoidCode,
     Item,
@@ -33,7 +34,7 @@ from .codes import (
 )
 from .homology import ModuleElement
 from .planar import NonRealizableError, all_loop_classes
-from .skew import CassonValues, casson_homological, casson_pm
+from .skew import CassonValues, augment, casson_homological, casson_pm
 
 PROPER_BY_C = "ProperByC"
 PROPER_BY_CH = "ProperByCH"
@@ -132,11 +133,15 @@ def generate_family(j: int) -> KnotoidCode:
 
 
 def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
-    """Every invariant of one code; homological fields absent when virtual."""
-    values = casson_pm(code)
+    """Every invariant of one code; homological fields absent when virtual.
+
+    A realizable code takes ``C+``/``C-`` as the augmentations of
+    ``CH+``/``CH-``, so the skew pairs are swept once per report.
+    """
     try:
         classes = all_loop_classes(code)
     except NonRealizableError:
+        values = casson_pm(code)
         return InvariantReport(
             name=name,
             c_plus=values.c_plus,
@@ -149,6 +154,7 @@ def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
             diagram_crossings=code.n_crossings,
         )
     ch_plus, ch_minus = casson_homological(code, classes)
+    values = CassonValues(augment(ch_plus), augment(ch_minus))
     return InvariantReport(
         name=name,
         c_plus=values.c_plus,
@@ -193,19 +199,44 @@ def odd_conjecture_experiment(report: InvariantReport) -> dict:
 # catalog handling
 
 
-def load_catalog(directory: Union[str, Path]) -> list[tuple[str, KnotoidCode]]:
-    """Read every code file in a directory (sorted), naming unnamed blocks."""
-    entries: list[tuple[str, KnotoidCode]] = []
+def _catalog_entries(directory: Union[str, Path]) -> list[tuple[str, str, KnotoidCode]]:
+    """(where, name, code) per block of every code file in a directory (sorted).
+
+    ``where`` is "<file>: block <index>"; parse errors carry the file path.
+    """
+    entries: list[tuple[str, str, KnotoidCode]] = []
     for path in sorted(Path(directory).iterdir()):
         if not path.is_file():
             continue
-        blocks = read_code_blocks(path.read_text())
+        try:
+            blocks = read_code_blocks(path.read_text())
+        except UnicodeDecodeError as exc:
+            raise CodeSyntaxError(f"{path}: code text must be ASCII") from exc
+        except CodeError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         for i, (name, code) in enumerate(blocks):
+            where = f"{path}: block {i}"
             if isinstance(code, MultiKnotoidCode):
-                raise CodeError(f"{path}: catalog entries must be knotoid codes")
+                raise CodeError(f"{where}: catalog entries must be knotoid codes")
             label = name or (path.stem if len(blocks) == 1 else f"{path.stem}.{i}")
-            entries.append((label, code))
+            entries.append((where, label, code))
     return entries
+
+
+def load_catalog(directory: Union[str, Path]) -> list[tuple[str, KnotoidCode]]:
+    """Read every code file in a directory (sorted), naming unnamed blocks."""
+    return [(name, code) for _, name, code in _catalog_entries(directory)]
+
+
+def _check_report_names(entries: Iterable[tuple[str, str, KnotoidCode]]) -> None:
+    """Each name must make its own file inside the output directory."""
+    seen: dict[str, str] = {}
+    for where, name, _ in entries:
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise CodeError(f"{where}: entry name {name!r} cannot name a report file")
+        if name in seen:
+            raise CodeError(f"{where}: entry name {name!r} repeats {seen[name]}")
+        seen[name] = where
 
 
 def summary_table(reports: Iterable[InvariantReport]) -> str:
@@ -236,13 +267,16 @@ def evaluate_catalog(
     """Report every catalog entry (entries evaluated concurrently).
 
     Writes ``<name>.json`` per entry plus ``summary.txt`` into ``out_dir``
-    and returns the reports in catalog order.
+    and returns the reports in catalog order.  Entry names are checked
+    before anything is written: a name that is empty, ``.``, ``..``,
+    holds a path separator, or repeats another raises ``CodeError``.
     """
-    entries = load_catalog(directory)
+    entries = _catalog_entries(directory)
+    _check_report_names(entries)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        reports = list(pool.map(lambda e: full_report(e[1], e[0]), entries))
+        reports = list(pool.map(lambda e: full_report(e[2], e[1]), entries))
     for report in reports:
         path = out / f"{report.name}.json"
         path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")

@@ -87,10 +87,12 @@ def cmd_check_moves(args: argparse.Namespace) -> int:
             raise CodeError(f"{name}: move checking requires a realizable code") from exc
         base = full_report(code, name)
         base_row = (base.c_plus, base.c_minus, base.ch_plus, base.ch_minus)
+        performed = 0
         for trial in range(args.trials):
             seed = args.seed + trial
             transcript = []
             for move, current in iter_walk(code, args.steps, seed):
+                performed += 1
                 transcript.append((move, serialize(current)))
                 row = full_report(current, name)
                 if (row.c_plus, row.c_minus, row.ch_plus, row.ch_minus) != base_row:
@@ -99,8 +101,8 @@ def cmd_check_moves(args: argparse.Namespace) -> int:
                         print(f"  step {i}: {m.kind} gaps={m.gaps} positions={m.positions} "
                               f"labels={m.labels} -> {text}")
                     return 2
-        print(f"OK {name}: {args.trials} walk(s) x {args.steps} step(s), "
-              f"invariants stable (C+={base.c_plus} C-={base.c_minus} "
+        print(f"OK {name}: {args.trials} walk(s), {performed} of {args.trials * args.steps} "
+              f"step(s) performed, invariants stable (C+={base.c_plus} C-={base.c_minus} "
               f"CH+={base.ch_plus} CH-={base.ch_minus})")
     return 0
 
@@ -193,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CodeError, NonRealizableError, FileNotFoundError, NotADirectoryError, KeyError) as exc:
+    except (CodeError, NonRealizableError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -285,7 +285,10 @@ def serialize(code: Union[KnotoidCode, MultiKnotoidCode]) -> str:
 def read_code_blocks(
     text: str,
 ) -> list[tuple[str | None, Union[KnotoidCode, MultiKnotoidCode]]]:
-    """Read a code file: '---'-separated blocks, each with an optional name line."""
+    """Read a code file: '---'-separated blocks, each with an optional name line.
+
+    Errors name the failing block by its index among the blocks read.
+    """
     if not text.isascii():
         raise CodeSyntaxError("code text must be ASCII")
     blocks: list[list[str]] = [[]]
@@ -299,18 +302,26 @@ def read_code_blocks(
         lines = _content_lines("\n".join(block))
         if not lines and len(blocks) > 1:
             continue
-        name = None
-        if lines and lines[0].startswith("name "):
-            name = lines[0][len("name "):].strip()
-            if not name or len(name.split()) != 1:
-                raise CodeSyntaxError(f"bad name line {lines[0]!r}")
-            lines = lines[1:]
-        body = "\n".join(lines)
-        if any(line.startswith("segment:") for line in lines):
-            out.append((name, parse_multiknotoid_code(body)))
-        else:
-            out.append((name, parse_knotoid_code(body)))
+        try:
+            out.append(_read_block(lines))
+        except CodeError as exc:
+            raise type(exc)(f"block {len(out)}: {exc}") from exc
     return out
+
+
+def _read_block(
+    lines: list[str],
+) -> tuple[str | None, Union[KnotoidCode, MultiKnotoidCode]]:
+    name = None
+    if lines and lines[0].startswith("name "):
+        name = lines[0][len("name "):].strip()
+        if not name or len(name.split()) != 1:
+            raise CodeSyntaxError(f"bad name line {lines[0]!r}")
+        lines = lines[1:]
+    body = "\n".join(lines)
+    if any(line.startswith("segment:") for line in lines):
+        return name, parse_multiknotoid_code(body)
+    return name, parse_knotoid_code(body)
 
 
 # ---------------------------------------------------------------------------

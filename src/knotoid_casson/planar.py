@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Mapping, NamedTuple
 
 from .codes import OVER, KnotoidCode
@@ -222,10 +223,18 @@ def loop_class(pmap: PlanarMap, arc: DualArc, label: str) -> tuple[int]:
 
 
 def all_loop_classes(code: KnotoidCode) -> dict[str, tuple[int]]:
-    """Loop classes of every crossing; raises NonRealizableError on virtual codes."""
+    """Loop classes of every crossing; raises NonRealizableError on virtual codes.
+
+    A loop's class is the dual arc's weight on the edges of its sub-path,
+    read off a prefix sum over the edges: O(n) for all crossings.
+    """
     pmap = build_planar_map(code)
     weights = dual_arc(pmap).edge_weights()
-    return {
-        label: (sum(weights.get(e, 0) for e in loop_edges(code, label)),)
-        for label in code.labels
-    }
+    # before[e] = total weight of the edges before edge e
+    before = list(accumulate((weights.get(e, 0) for e in range(pmap.num_edges)), initial=0))
+    pos = code.positions()
+    classes: dict[str, tuple[int]] = {}
+    for label in code.labels:
+        first, second = sorted(pos[label])
+        classes[label] = (before[second + 1] - before[first + 1],)
+    return classes

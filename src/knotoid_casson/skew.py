@@ -12,12 +12,13 @@ summing formally gives the homological refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Hashable, Mapping, NamedTuple
 
-from .codes import KnotoidCode
+from .codes import OVER, KnotoidCode
 from .homology import (
     HomologyClass,
     ModuleElement,
+    Subgroup,
     as_class,
     subgroup_from_generators,
 )
@@ -58,17 +59,76 @@ def skew_pairs(code: KnotoidCode) -> tuple[list[SkewPair], list[SkewPair]]:
     return [p for _, p in upper], [p for _, p in lower]
 
 
+def _skew_sums(
+    code: KnotoidCode,
+    keys: Mapping[str, Hashable],
+    signs: Mapping[str, int],
+) -> dict[tuple[str, Hashable, Hashable], int]:
+    """Sums of sign products over skew pairs, by (kind, key of first, key of second).
+
+    A crossing is a chord between its two passes; it is *over-first* when
+    its over pass comes first in the word.  Every skew pair is one
+    over-first and one under-first chord that interleave: upper when the
+    over-first chord starts first, lower otherwise.  Chords of one kind are
+    never skew.  So one left-to-right walk finds every pair: the open
+    chords of each kind sit in Fenwick trees indexed by start position,
+    one tree per key, and a chord's end queries the other kind's trees
+    over its span.  O(n K log n) for K distinct keys; labels without a key
+    take no part.
+    """
+    size = len(code.word) + 1
+    start: dict[str, int] = {}
+    # open chords by kind (0: over-first, 1: under-first), then by key
+    trees: tuple[dict[Hashable, list[int]], dict[Hashable, list[int]]] = ({}, {})
+    sums: dict[tuple[str, Hashable, Hashable], int] = {}
+    for pos, item in enumerate(code.word):
+        label = item.label
+        if label not in keys:
+            continue
+        key, sign = keys[label], signs[label]
+        begin = start.pop(label, None)
+        if begin is None:
+            start[label] = pos
+            kind = 0 if item.kind == OVER else 1
+            if key not in trees[kind]:
+                trees[kind][key] = [0] * size
+            _fenwick_add(trees[kind][key], pos, sign)
+            continue
+        kind = 1 if item.kind == OVER else 0
+        _fenwick_add(trees[kind][key], begin, -sign)
+        pair_kind = UPPER if kind == 0 else LOWER
+        for other_key, tree in trees[1 - kind].items():
+            count = _fenwick_prefix(tree, pos) - _fenwick_prefix(tree, begin + 1)
+            if count:
+                slot = (pair_kind, key, other_key)
+                sums[slot] = sums.get(slot, 0) + sign * count
+    return sums
+
+
+def _fenwick_add(tree: list[int], begin: int, value: int) -> None:
+    i = begin + 1
+    while i < len(tree):
+        tree[i] += value
+        i += i & -i
+
+
+def _fenwick_prefix(tree: list[int], end: int) -> int:
+    """Sum over the positions before ``end``."""
+    total = 0
+    while end:
+        total += tree[end]
+        end &= end - 1
+    return total
+
+
 def casson_pm(code: KnotoidCode) -> CassonValues:
     """Signed counts of upper/lower skew pairs.
 
     Defined for every valid code; spherical realizability is not required
     (virtual knotoid codes are legal inputs).
     """
-    upper, lower = skew_pairs(code)
-    return CassonValues(
-        sum(p.sign for p in upper),
-        sum(p.sign for p in lower),
-    )
+    sums = _skew_sums(code, dict.fromkeys(code.signs), code.signs)
+    return CassonValues(sums.get((UPPER, None, None), 0), sums.get((LOWER, None, None), 0))
 
 
 def casson_homological(
@@ -82,7 +142,6 @@ def casson_homological(
     result pair refines (c_plus, c_minus): summing coefficients of either
     element recovers the corresponding integer count.
     """
-    upper, lower = skew_pairs(code)
     normalized: dict[str, HomologyClass] = {}
     rank: int | None = None
     for lab, value in classes.items():
@@ -93,17 +152,22 @@ def casson_homological(
             raise ValueError(f"homology class of {lab!r} has rank {len(vec)}, expected {rank}")
         normalized[lab] = vec
 
-    def accumulate(pairs: list[SkewPair]) -> ModuleElement:
-        total = ModuleElement.zero()
-        for p in pairs:
-            for lab in (p.first, p.second):
-                if lab not in normalized:
-                    raise KeyError(f"no homology class for crossing {lab!r}")
-            sub = subgroup_from_generators(normalized[p.first], normalized[p.second])
-            total = total + ModuleElement.single(sub, p.sign)
-        return total
+    if any(lab not in normalized for lab in code.signs):
+        # unsigned counts, so that pairs whose signs cancel still count
+        missing = {lab: lab if lab not in normalized else None for lab in code.signs}
+        for _, first, second in _skew_sums(code, missing, dict.fromkeys(code.signs, 1)):
+            lab = first if first is not None else second
+            if lab is not None:
+                raise KeyError(f"no homology class for crossing {lab!r}")
 
-    return accumulate(upper), accumulate(lower)
+    subgroups: dict[tuple[HomologyClass, HomologyClass], Subgroup] = {}
+    terms: dict[str, dict[Subgroup, int]] = {UPPER: {}, LOWER: {}}
+    for (kind, first, second), count in _skew_sums(code, normalized, code.signs).items():
+        if (first, second) not in subgroups:
+            subgroups[first, second] = subgroup_from_generators(first, second)
+        sub = subgroups[first, second]
+        terms[kind][sub] = terms[kind].get(sub, 0) + count
+    return ModuleElement(terms[UPPER]), ModuleElement(terms[LOWER])
 
 
 def augment(e: ModuleElement) -> int:

@@ -6,7 +6,15 @@ import random
 
 from hypothesis import strategies as st
 
-from knotoid_casson.codes import OVER, UNDER, Item, KnotoidCode
+from knotoid_casson.analysis import (
+    InvariantReport,
+    crossing_lower_bound,
+    generate_family,
+    properness_certificate,
+)
+from knotoid_casson.codes import OVER, UNDER, Item, KnotoidCode, concat_product, mirror
+from knotoid_casson.homology import ModuleElement, as_class, subgroup_from_generators
+from knotoid_casson.moves import iter_walk
 from knotoid_casson.planar import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
@@ -14,8 +22,10 @@ from knotoid_casson.planar import (
     NonRealizableError,
     PlanarMap,
     build_planar_map,
+    dual_arc,
     loop_edges,
 )
+from knotoid_casson.skew import CassonValues, skew_pairs
 
 
 def random_code(rng: random.Random, n_crossings: int) -> KnotoidCode:
@@ -119,3 +129,79 @@ def code_strategy(draw, min_crossings: int = 0, max_crossings: int = 6) -> Knoto
     word = tuple(draw(st.permutations(items))) if items else ()
     signs = {f"c{i}": draw(st.sampled_from((1, -1))) for i in range(1, n + 1)}
     return KnotoidCode(word, signs)
+
+
+@st.composite
+def realizable_code_strategy(draw, max_crossings: int = 40) -> KnotoidCode:
+    """Realizable codes up to ``max_crossings``: a product of sharpness-family
+    members and small random realizable factors (each possibly mirrored),
+    then a seeded Reidemeister walk that stays within the size."""
+    rng = draw(st.randoms(use_true_random=False))
+    target = draw(st.integers(0, max_crossings))
+    code = KnotoidCode((), {})
+    while code.n_crossings < target:
+        room = target - code.n_crossings
+        if room >= 2 and rng.random() < 0.3:
+            factor = generate_family(rng.randint(1, room // 2))
+        else:
+            factor = random_realizable_code(rng, rng.randint(1, min(6, room)))
+        if rng.random() < 0.5:
+            factor = mirror(factor)
+        code = concat_product(code, factor) if rng.random() < 0.5 else concat_product(factor, code)
+    steps = draw(st.integers(0, 20))
+    growth_cap = max_crossings - 1 - code.n_crossings
+    for _, reached in iter_walk(code, steps, rng.randrange(10**6), growth_cap=growth_cap):
+        code = reached
+    return code
+
+
+def reference_casson_homological(code: KnotoidCode, classes) -> tuple[ModuleElement, ModuleElement]:
+    """Reference CH+/CH-: list the skew pairs and add one subgroup per pair."""
+    normalized = {lab: as_class(value) for lab, value in classes.items()}
+
+    def accumulate(pairs) -> ModuleElement:
+        total = ModuleElement.zero()
+        for p in pairs:
+            for lab in (p.first, p.second):
+                if lab not in normalized:
+                    raise KeyError(f"no homology class for crossing {lab!r}")
+            sub = subgroup_from_generators(normalized[p.first], normalized[p.second])
+            total = total + ModuleElement.single(sub, p.sign)
+        return total
+
+    upper, lower = skew_pairs(code)
+    return accumulate(upper), accumulate(lower)
+
+
+def reference_report(code: KnotoidCode, name: str = "") -> InvariantReport:
+    """``full_report`` rebuilt from listed skew pairs and per-label loop sums."""
+    upper, lower = skew_pairs(code)
+    values = CassonValues(sum(p.sign for p in upper), sum(p.sign for p in lower))
+    try:
+        pmap = build_planar_map(code)
+    except NonRealizableError:
+        return InvariantReport(
+            name=name,
+            c_plus=values.c_plus,
+            c_minus=values.c_minus,
+            ch_plus=None,
+            ch_minus=None,
+            norm_sum=None,
+            crossing_lower_bound=None,
+            properness=properness_certificate(values),
+            diagram_crossings=code.n_crossings,
+        )
+    steps = dual_arc(pmap).steps
+    classes = {lab: loop_class_along(pmap, steps, lab) for lab in code.labels}
+    ch_plus, ch_minus = reference_casson_homological(code, classes)
+    return InvariantReport(
+        name=name,
+        c_plus=values.c_plus,
+        c_minus=values.c_minus,
+        ch_plus=ch_plus,
+        ch_minus=ch_minus,
+        norm_sum=ch_plus.norm() + ch_minus.norm(),
+        crossing_lower_bound=crossing_lower_bound(ch_plus, ch_minus),
+        properness=properness_certificate(values, ch_plus, ch_minus),
+        diagram_crossings=code.n_crossings,
+    )

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -21,7 +22,7 @@ from knotoid_casson.analysis import (
     reports_match_up_to_switch,
     summary_table,
 )
-from knotoid_casson.codes import parse_knotoid_code, serialize, switch_all
+from knotoid_casson.codes import CodeError, parse_knotoid_code, serialize, switch_all
 from knotoid_casson.fixtures import (
     FIVE_NINETEEN_TEXT,
     FOUR_SIX_TEXT,
@@ -35,7 +36,13 @@ from knotoid_casson.homology import ModuleElement, Subgroup
 from knotoid_casson.planar import NonRealizableError, all_loop_classes
 from knotoid_casson.skew import CassonValues, casson_pm, skew_pairs
 
-from support import canonical_relabel, code_strategy, random_realizable_code
+from support import (
+    canonical_relabel,
+    code_strategy,
+    random_realizable_code,
+    realizable_code_strategy,
+    reference_report,
+)
 
 
 def cyc(j, coeff=1):
@@ -110,6 +117,28 @@ def test_family_counts_and_sharpness():
         assert all(p.sign == 1 for p in upper + lower)
         report = full_report(code, f"D_{j}")
         assert report.norm_sum == (2 * j) ** 2 // 4
+
+
+def test_family_closed_forms_at_1024_crossings():
+    j = 512
+    report = full_report(generate_family(j), "D_512")
+    triangular = j * (j + 1) // 2
+    assert report.diagram_crossings == 1024
+    assert (report.c_plus, report.c_minus) == (triangular, j * (j - 1) // 2)
+    assert report.ch_plus == cyc(1, triangular)
+    assert report.ch_minus == cyc(1, triangular - j)
+
+
+@given(code_strategy(max_crossings=40))
+def test_full_report_matches_reference_up_to_40(code):
+    assert full_report(code, "c").to_json_dict() == reference_report(code, "c").to_json_dict()
+
+
+@given(realizable_code_strategy(max_crossings=40))
+def test_full_report_matches_reference_on_realizable_up_to_40(code):
+    report = full_report(code, "r")
+    assert not report.is_virtual
+    assert report.to_json_dict() == reference_report(code, "r").to_json_dict()
 
 
 def test_full_report_two_one():
@@ -226,6 +255,16 @@ def test_summary_table_layout():
 def test_catalog_rejects_multiknotoid_entries(tmp_path):
     (tmp_path / "bad.knd").write_text("segment: Ob\ncircle: Ub\n; b=+1\n")
     with pytest.raises(Exception):
+        load_catalog(tmp_path)
+
+
+def test_load_catalog_errors_name_file_and_block(tmp_path):
+    path = tmp_path / "two.knd"
+    path.write_text(TWO_ONE_TEXT + "\n---\nOa Ua Oa ; a=+1\n")
+    with pytest.raises(CodeError, match=rf"^{re.escape(str(path))}: block 1: "):
+        load_catalog(tmp_path)
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(CodeError, match=rf"^{re.escape(str(path))}: code text must be ASCII"):
         load_catalog(tmp_path)
 
 

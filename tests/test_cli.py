@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from knotoid_casson import cli
 from knotoid_casson.analysis import generate_family
 from knotoid_casson.cli import main
 from knotoid_casson.codes import serialize
-from knotoid_casson.fixtures import FOUR_SIX_TEXT, TWO_ONE_TEXT, FIVE_NINETEEN_TEXT
+from knotoid_casson.fixtures import FOUR_SIX_TEXT, TWO_ONE_TEXT, FIVE_NINETEEN_TEXT, five_nineteen
+from knotoid_casson.moves import iter_walk
 
 
 @pytest.fixture
@@ -157,3 +159,61 @@ def test_json_output_stable(two_one_file, capsys):
     first = capsys.readouterr().out
     assert main(["compute", two_one_file, "--json"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_check_moves_reports_performed_steps(tmp_path, capsys):
+    path = tmp_path / "5_19.knd"
+    path.write_text("name 5_19\n" + FIVE_NINETEEN_TEXT + "\n")
+    performed = sum(1 for seed in range(20) for _ in iter_walk(five_nineteen(), 30, seed))
+    assert performed == 592
+    assert main(["check-moves", str(path), "--trials", "20", "--seed", "0"]) == 0
+    assert "20 walk(s), 592 of 600 step(s) performed" in capsys.readouterr().out
+
+
+def test_internal_key_error_exit_2(two_one_file, monkeypatch, capsys):
+    def broken(code, name=""):
+        raise KeyError("library bug")
+
+    monkeypatch.setattr(cli, "full_report", broken)
+    assert main(["compute", two_one_file]) == 2
+    assert "internal error" in capsys.readouterr().err
+
+
+def _files(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("bad", ["../escaped", "sub/name", "back\\slash", ".", ".."])
+def test_batch_rejects_unsafe_entry_name(tmp_path, capsys, bad):
+    catalog = tmp_path / "codes"
+    catalog.mkdir()
+    (catalog / "c.knd").write_text(
+        "name ok\n" + TWO_ONE_TEXT + "\n---\nname " + bad + "\n" + FOUR_SIX_TEXT + "\n"
+    )
+    before = _files(tmp_path)
+    assert main(["batch", str(catalog), "--out", str(tmp_path / "reports")]) == 1
+    assert _files(tmp_path) == before
+    err = capsys.readouterr().err
+    assert f"{catalog / 'c.knd'}: block 1: entry name {bad!r}" in err
+
+
+def test_batch_rejects_duplicate_entry_names(tmp_path, capsys):
+    catalog = tmp_path / "codes"
+    catalog.mkdir()
+    (catalog / "a.knd").write_text("name dup\n" + TWO_ONE_TEXT + "\n")
+    (catalog / "b.knd").write_text("name dup\n" + FOUR_SIX_TEXT + "\n")
+    before = _files(tmp_path)
+    assert main(["batch", str(catalog), "--out", str(tmp_path / "reports")]) == 1
+    assert _files(tmp_path) == before
+    err = capsys.readouterr().err
+    assert f"{catalog / 'b.knd'}: block 0: entry name 'dup' repeats {catalog / 'a.knd'}: block 0" in err
+
+
+def test_batch_into_its_own_catalog_names_the_file(tmp_path, capsys):
+    catalog = tmp_path / "codes"
+    catalog.mkdir()
+    (catalog / "2_1.knd").write_text("name 2_1\n" + TWO_ONE_TEXT + "\n")
+    assert main(["batch", str(catalog), "--out", str(catalog)]) == 0
+    capsys.readouterr()
+    assert main(["batch", str(catalog), "--out", str(catalog)]) == 1
+    assert f"error: {catalog / '2_1.json'}: block 0: " in capsys.readouterr().err

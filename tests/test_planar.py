@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from knotoid_casson.codes import mirror, parse_knotoid_code
 from knotoid_casson.fixtures import five_nineteen, four_six, named_fixtures, two_one
@@ -24,6 +25,7 @@ from support import (
     loop_class_along,
     random_code,
     random_realizable_code,
+    realizable_code_strategy,
 )
 
 
@@ -102,6 +104,15 @@ def test_loop_class_matches_all_loop_classes():
     classes = all_loop_classes(code)
     for lab in code.labels:
         assert loop_class(pm, arc, lab) == classes[lab]
+
+
+@given(realizable_code_strategy(max_crossings=40))
+def test_all_loop_classes_match_loop_class_along_up_to_40(code):
+    pm = build_planar_map(code)
+    steps = dual_arc(pm).steps
+    assert all_loop_classes(code) == {
+        lab: (loop_class_along(pm, steps, lab),) for lab in code.labels
+    }
 
 
 def test_faces_equal_crossings_plus_one_on_random_realizable():

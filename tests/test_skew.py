@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotoid_casson.codes import concat_product, mirror, reverse, switch_all
@@ -16,7 +16,12 @@ from knotoid_casson.skew import (
     skew_pairs,
 )
 
-from support import brute_force_skew_pairs, code_strategy
+from support import (
+    brute_force_skew_pairs,
+    code_strategy,
+    random_code,
+    reference_casson_homological,
+)
 
 
 def pair_set(pairs):
@@ -152,8 +157,6 @@ def test_matches_brute_force(code):
 
 def test_deterministic_order():
     rng = random.Random(5)
-    from support import random_code
-
     for _ in range(50):
         code = random_code(rng, rng.randrange(0, 7))
         upper, lower = skew_pairs(code)
@@ -162,3 +165,52 @@ def test_deterministic_order():
         lower_keys = [(pos[p.first][1], pos[p.second][0]) for p in lower]
         assert upper_keys == sorted(upper_keys)
         assert lower_keys == sorted(lower_keys)
+
+
+# --- the sweep against listed pairs, up to 40 crossings ---------------------
+
+
+@settings(max_examples=50)
+@given(code_strategy(max_crossings=40))
+def test_casson_pm_matches_brute_force_up_to_40(code):
+    bf_upper, bf_lower = brute_force_skew_pairs(code)
+    s = code.signs
+    assert casson_pm(code) == (
+        sum(s[a] * s[b] for a, b in bf_upper),
+        sum(s[a] * s[b] for a, b in bf_lower),
+    )
+
+
+@given(code_strategy(max_crossings=40), st.randoms(use_true_random=False))
+def test_homological_matches_reference_rank_one_up_to_40(code, rng):
+    # up to n distinct classes, so the sweep keeps up to n trees per kind
+    spread = rng.randint(0, code.n_crossings)
+    classes = {lab: rng.randint(-spread, spread) for lab in code.labels}
+    assert casson_homological(code, classes) == reference_casson_homological(code, classes)
+
+
+@given(code_strategy(max_crossings=40), st.randoms(use_true_random=False))
+def test_homological_matches_reference_rank_two_up_to_40(code, rng):
+    classes = {lab: (rng.randint(-3, 3), rng.randint(-3, 3)) for lab in code.labels}
+    assert casson_homological(code, classes) == reference_casson_homological(code, classes)
+
+
+def test_homological_missing_class_with_cancelling_signs():
+    # a is first in the lower pairs (a, b) and (a, d), of signs -1 and +1
+    code = four_six()
+    assert casson_pm(code) == (1, 0)
+    with pytest.raises(KeyError, match="'a'"):
+        casson_homological(code, {"b": 2, "c": 2, "d": 1})
+
+
+@given(code_strategy(max_crossings=40), st.randoms(use_true_random=False))
+def test_homological_missing_class_raises_exactly_for_paired_crossings(code, rng):
+    upper, lower = skew_pairs(code)
+    paired = {lab for p in upper + lower for lab in (p.first, p.second)}
+    dropped = {lab for lab in code.labels if rng.random() < 0.2}
+    classes = {lab: rng.randint(-2, 2) for lab in code.labels if lab not in dropped}
+    if dropped & paired:
+        with pytest.raises(KeyError):
+            casson_homological(code, classes)
+    else:
+        assert casson_homological(code, classes) == reference_casson_homological(code, classes)
