@@ -17,7 +17,6 @@ modulo that symmetry.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
@@ -32,7 +31,7 @@ from .codes import (
     UNDER,
     read_code_blocks,
 )
-from .homology import ModuleElement
+from .homology import ModuleElement, Subgroup
 from .planar import NonRealizableError, all_loop_classes
 from .skew import CassonValues, augment, casson_homological, casson_pm
 
@@ -98,8 +97,6 @@ def properness_certificate(
         return PROPER_BY_C
     if ch_plus is None or ch_minus is None:
         return INCONCLUSIVE
-    from .homology import Subgroup
-
     rank = ambient_rank
     for elem in (ch_plus, ch_minus):
         for sub, _ in elem:
@@ -199,6 +196,18 @@ def odd_conjecture_experiment(report: InvariantReport) -> dict:
 # catalog handling
 
 
+def read_code_file(
+    path: Union[str, Path],
+) -> list[tuple[str | None, Union[KnotoidCode, MultiKnotoidCode]]]:
+    """The named blocks of one code file; every parse error names the file."""
+    try:
+        return read_code_blocks(Path(path).read_text())
+    except UnicodeDecodeError as exc:
+        raise CodeSyntaxError(f"{path}: code text must be ASCII") from exc
+    except CodeError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _catalog_entries(directory: Union[str, Path]) -> list[tuple[str, str, KnotoidCode]]:
     """(where, name, code) per block of every code file in a directory (sorted).
 
@@ -208,12 +217,7 @@ def _catalog_entries(directory: Union[str, Path]) -> list[tuple[str, str, Knotoi
     for path in sorted(Path(directory).iterdir()):
         if not path.is_file():
             continue
-        try:
-            blocks = read_code_blocks(path.read_text())
-        except UnicodeDecodeError as exc:
-            raise CodeSyntaxError(f"{path}: code text must be ASCII") from exc
-        except CodeError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+        blocks = read_code_file(path)
         for i, (name, code) in enumerate(blocks):
             where = f"{path}: block {i}"
             if isinstance(code, MultiKnotoidCode):
@@ -262,9 +266,8 @@ def summary_table(reports: Iterable[InvariantReport]) -> str:
 def evaluate_catalog(
     directory: Union[str, Path],
     out_dir: Union[str, Path],
-    max_workers: int | None = None,
 ) -> list[InvariantReport]:
-    """Report every catalog entry (entries evaluated concurrently).
+    """Report every catalog entry, in catalog order.
 
     Writes ``<name>.json`` per entry plus ``summary.txt`` into ``out_dir``
     and returns the reports in catalog order.  Entry names are checked
@@ -275,10 +278,10 @@ def evaluate_catalog(
     _check_report_names(entries)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        reports = list(pool.map(lambda e: full_report(e[2], e[1]), entries))
-    for report in reports:
-        path = out / f"{report.name}.json"
-        path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+    reports = []
+    for _, name, code in entries:
+        report = full_report(code, name)
+        (out / f"{name}.json").write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+        reports.append(report)
     (out / "summary.txt").write_text(summary_table(reports) + "\n")
     return reports

@@ -3,7 +3,7 @@
 Subcommands (long-form flags only):
 
     compute FILE [--json]          invariant report per code block
-    batch DIR --out DIR [--jobs N] JSON report per catalog entry + summary
+    batch DIR --out DIR            JSON report per catalog entry + summary
     check-moves FILE [--steps N] [--seed S] [--trials T]
                                    random-walk invariance harness
     skein FILE [--crossing X]      skein identity report(s), JSON
@@ -29,9 +29,10 @@ from .analysis import (
     generate_family,
     load_catalog,
     odd_conjecture_experiment,
+    read_code_file,
     summary_table,
 )
-from .codes import CodeError, KnotoidCode, MultiKnotoidCode, read_code_blocks, serialize
+from .codes import CodeError, KnotoidCode, MultiKnotoidCode, serialize
 from .moves import iter_walk
 from .planar import NonRealizableError, build_planar_map
 from .skein import verify_skein
@@ -39,9 +40,8 @@ from .skew import casson_pm
 
 
 def _load_knotoids(path: str) -> list[tuple[str, KnotoidCode]]:
-    text = Path(path).read_text()
     out = []
-    for i, (name, code) in enumerate(read_code_blocks(text)):
+    for i, (name, code) in enumerate(read_code_file(path)):
         if isinstance(code, MultiKnotoidCode):
             raise CodeError(f"{path}: block {i} is a multi-knotoid; a knotoid code is required")
         out.append((name or Path(path).stem, code))
@@ -74,7 +74,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    reports = evaluate_catalog(args.directory, args.out, max_workers=args.jobs)
+    reports = evaluate_catalog(args.directory, args.out)
     print(f"wrote {len(reports)} report(s) to {args.out}")
     return 0
 
@@ -160,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="evaluate a catalog directory, one JSON per entry")
     p.add_argument("directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("check-moves", help="random-walk invariance harness")
@@ -195,7 +194,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CodeError, NonRealizableError, FileNotFoundError, NotADirectoryError) as exc:
+    except (
+        CodeError, NonRealizableError, FileNotFoundError, IsADirectoryError, NotADirectoryError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path

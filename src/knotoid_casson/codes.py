@@ -28,8 +28,9 @@ codes with colliding labels).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence, Union
 
 OVER = "O"
 UNDER = "U"
@@ -70,22 +71,29 @@ class Item:
         return self.kind + self.label
 
 
-def _check_passes(items: Iterable[Item], signs: Mapping[str, int]) -> None:
-    """Shared invariant: each label twice, once over and once under; one sign each."""
+def _check_passes(
+    items: Sequence[Item], signs: Mapping[str, int]
+) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+    """Shared invariant: each label twice, once over and once under; one sign each.
+
+    Returns the labels in order of first occurrence and, aligned with them,
+    the positions of their over passes and of their under passes.
+    """
     over: dict[str, int] = {}
     under: dict[str, int] = {}
-    for it in items:
-        side = over if it.kind == OVER else under
-        side[it.label] = side.get(it.label, 0) + 1
-    labels = set(over) | set(under)
-    for lab in sorted(labels):
-        if over.get(lab, 0) != 1 or under.get(lab, 0) != 1:
-            raise CodeValidationError(
-                f"label {lab!r} must occur exactly twice, once over and once under"
-            )
-    if set(signs) != labels:
-        missing = labels - set(signs)
-        extra = set(signs) - labels
+    first: dict[str, None] = {}
+    for i, it in enumerate(items):
+        first[it.label] = None
+        (over if it.kind == OVER else under)[it.label] = i
+    if over.keys() != under.keys() or len(items) != 2 * len(over):
+        counts = Counter((it.kind, it.label) for it in items)
+        lab = min(lab for lab in first if counts[OVER, lab] != 1 or counts[UNDER, lab] != 1)
+        raise CodeValidationError(
+            f"label {lab!r} must occur exactly twice, once over and once under"
+        )
+    if signs.keys() != first.keys():
+        missing = first.keys() - signs.keys()
+        extra = signs.keys() - first.keys()
         detail = []
         if missing:
             detail.append(f"missing signs for {sorted(missing)}")
@@ -95,45 +103,51 @@ def _check_passes(items: Iterable[Item], signs: Mapping[str, int]) -> None:
     for lab, s in signs.items():
         if s not in (1, -1):
             raise CodeValidationError(f"sign of {lab!r} must be +1 or -1, got {s!r}")
+    labels = tuple(first)
+    # sized from lists: a tuple grown from an iterator is resized, and every
+    # freed one then parks on the interpreter's free list for its final size
+    return labels, tuple([over[lab] for lab in labels]), tuple([under[lab] for lab in labels])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KnotoidCode:
     """A validated signed Gauss code of a knotoid.
 
     Immutable after construction; the empty word is the trivial knotoid.
+    ``labels`` lists the crossings in order of first occurrence in the word;
+    ``over_pos[i]`` and ``under_pos[i]`` are the word positions of the over
+    and under pass of ``labels[i]``, computed once by the validating pass.
     """
 
     word: tuple[Item, ...]
     signs: Mapping[str, int]
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    over_pos: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    under_pos: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "word", tuple(self.word))
-        object.__setattr__(self, "signs", dict(self.signs))
-        _check_passes(self.word, self.signs)
+    def __init__(self, word: Iterable[Item], signs: Mapping[str, int]) -> None:
+        word, signs = tuple(word), dict(signs)
+        labels, over_pos, under_pos = _check_passes(word, signs)
+        set_field = object.__setattr__  # the class is frozen
+        set_field(self, "word", word)
+        set_field(self, "signs", signs)
+        set_field(self, "labels", labels)
+        set_field(self, "over_pos", over_pos)
+        set_field(self, "under_pos", under_pos)
 
     # dict field: identity-based hashing would be misleading, equality is by value
     __hash__ = None  # type: ignore[assignment]
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """Crossing labels in order of first occurrence in the word."""
-        seen: dict[str, None] = {}
-        for it in self.word:
-            seen.setdefault(it.label)
-        return tuple(seen)
 
     @property
     def n_crossings(self) -> int:
         return len(self.word) // 2
 
     def positions(self) -> dict[str, tuple[int, int]]:
-        """Map label -> (position of its over pass, position of its under pass)."""
-        over: dict[str, int] = {}
-        under: dict[str, int] = {}
-        for i, it in enumerate(self.word):
-            (over if it.kind == OVER else under)[it.label] = i
-        return {lab: (over[lab], under[lab]) for lab in over}
+        """Map label -> (position of its over pass, position of its under pass).
+
+        A fresh dict built from the stored positions, so callers may change it.
+        """
+        return dict(zip(self.labels, zip(self.over_pos, self.under_pos)))
 
     def sign(self, label: str) -> int:
         return self.signs[label]

@@ -20,7 +20,7 @@ def as_class(value: "int | Iterable[int]") -> HomologyClass:
     """Coerce an int (annulus winding) or an int vector to a homology class."""
     if isinstance(value, int):
         return (value,)
-    vec = tuple(int(v) for v in value)
+    vec = tuple(map(int, value))
     if not vec:
         raise ValueError("a homology class needs rank >= 1")
     return vec

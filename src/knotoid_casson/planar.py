@@ -102,47 +102,37 @@ class PlanarMap:
         return self.num_vertices - self.num_edges + self.num_faces
 
 
-def _forward(edge: int) -> int:
-    return 2 * edge
-
-
-def _backward(edge: int) -> int:
-    return 2 * edge + 1
-
-
 def build_planar_map(code: KnotoidCode) -> PlanarMap:
     """Trace the rotation system forced by the signs; raise if not spherical."""
-    word = code.word
-    length = len(word)
+    length = len(code.word)
     num_edges = length + 1
-    rotation: dict[str, tuple[int, ...]] = {
-        LEG: (_forward(0),),
-        HEAD: (_backward(length),),
-    }
-    for label, (over_pos, under_pos) in code.positions().items():
-        over_in = _backward(over_pos)
-        over_out = _forward(over_pos + 1)
-        under_in = _backward(under_pos)
-        under_out = _forward(under_pos + 1)
-        if code.signs[label] > 0:
+    # the endpoints' single darts: forward dart of edge 0, backward dart of the last edge
+    leg_dart, head_dart = 0, 2 * length + 1
+    rotation: dict[str, tuple[int, ...]] = {LEG: (leg_dart,), HEAD: (head_dart,)}
+    prev_ccw = list(range(2 * num_edges))  # an endpoint's one dart precedes itself
+    signs = code.signs
+    for label, over, under in zip(code.labels, code.over_pos, code.under_pos):
+        over_in, over_out = 2 * over + 1, 2 * over + 2
+        under_in, under_out = 2 * under + 1, 2 * under + 2
+        if signs[label] > 0:
             rotation[label] = (over_out, under_out, over_in, under_in)
+            prev_ccw[over_out], prev_ccw[under_out] = under_in, over_out
+            prev_ccw[over_in], prev_ccw[under_in] = under_out, over_in
         else:
             rotation[label] = (over_out, under_in, over_in, under_out)
-
-    prev_ccw = [0] * (2 * num_edges)
-    for cycle in rotation.values():
-        for i, dart in enumerate(cycle):
-            prev_ccw[dart] = cycle[i - 1]
+            prev_ccw[over_out], prev_ccw[under_in] = under_out, over_out
+            prev_ccw[over_in], prev_ccw[under_out] = under_in, over_in
 
     dart_face = [-1] * (2 * num_edges)
     faces: list[tuple[int, ...]] = []
     for start in range(2 * num_edges):
         if dart_face[start] != -1:
             continue
+        face = len(faces)
         orbit = []
         d = start
         while dart_face[d] == -1:
-            dart_face[d] = len(faces)
+            dart_face[d] = face
             orbit.append(d)
             d = prev_ccw[d ^ 1]
         faces.append(tuple(orbit))
@@ -158,8 +148,8 @@ def build_planar_map(code: KnotoidCode) -> PlanarMap:
         rotation=rotation,
         faces=tuple(faces),
         dart_face=tuple(dart_face),
-        leg_face=dart_face[_forward(0)],
-        head_face=dart_face[_backward(length)],
+        leg_face=dart_face[leg_dart],
+        head_face=dart_face[head_dart],
     )
 
 
@@ -173,35 +163,30 @@ def dual_arc(pmap: PlanarMap) -> DualArc:
 
     Breadth-first over faces, neighbor edges scanned in increasing index,
     so the arc is deterministic.  Any dual path yields the same loop
-    classes; this one keeps reports stable.
+    classes; this one keeps reports stable.  A face's neighbors are read
+    off its own darts only when the search reaches it: the face on the
+    left of dart d borders the face on the left of d ^ 1 across edge d >> 1,
+    and sorting its darts sorts its edges.
     """
-    if pmap.head_face == pmap.leg_face:
-        return DualArc(())
-    adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in range(pmap.num_faces)}
-    for e in range(pmap.num_edges):
-        left, right = pmap.left_face(e), pmap.right_face(e)
-        if left != right:
-            adjacency[left].append((right, e))
-            adjacency[right].append((left, e))
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {pmap.head_face}
+    dart_face = pmap.dart_face
+    # face -> the dart, in the face the search came from, whose edge it crossed;
+    # a face's entry never changes once found, so the search stops at the leg face
+    entered: dict[int, int] = {pmap.head_face: -1}
     queue = deque([pmap.head_face])
-    while queue:
+    while pmap.leg_face not in entered:
         f = queue.popleft()
-        if f == pmap.leg_face:
-            break
-        for g, e in adjacency[f]:
-            if g not in seen:
-                seen.add(g)
-                parent[g] = (f, e)
+        for d in sorted(pmap.faces[f]):
+            g = dart_face[d ^ 1]
+            if g not in entered:
+                entered[g] = d
                 queue.append(g)
     steps: list[ArcStep] = []
     f = pmap.leg_face
     while f != pmap.head_face:
-        prev, e = parent[f]
-        direction = RIGHT_TO_LEFT if prev == pmap.right_face(e) else LEFT_TO_RIGHT
-        steps.append(ArcStep(e, direction))
-        f = prev
+        d = entered[f]
+        # crossing from the left of a backward dart is crossing its edge right to left
+        steps.append(ArcStep(d >> 1, RIGHT_TO_LEFT if d & 1 else LEFT_TO_RIGHT))
+        f = dart_face[d]
     steps.reverse()
     return DualArc(tuple(steps))
 
@@ -228,13 +213,12 @@ def all_loop_classes(code: KnotoidCode) -> dict[str, tuple[int]]:
     A loop's class is the dual arc's weight on the edges of its sub-path,
     read off a prefix sum over the edges: O(n) for all crossings.
     """
-    pmap = build_planar_map(code)
-    weights = dual_arc(pmap).edge_weights()
-    # before[e] = total weight of the edges before edge e
-    before = list(accumulate((weights.get(e, 0) for e in range(pmap.num_edges)), initial=0))
-    pos = code.positions()
-    classes: dict[str, tuple[int]] = {}
-    for label in code.labels:
-        first, second = sorted(pos[label])
-        classes[label] = (before[second + 1] - before[first + 1],)
-    return classes
+    weights = [0] * (len(code.word) + 1)
+    for e, d in dual_arc(build_planar_map(code)).steps:
+        weights[e] += d
+    # upto[e] = total weight of the edges up to and including edge e
+    upto = list(accumulate(weights))
+    return {
+        label: (upto[under] - upto[over],) if over < under else (upto[over] - upto[under],)
+        for label, over, under in zip(code.labels, code.over_pos, code.under_pos)
+    }

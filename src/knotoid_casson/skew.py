@@ -70,55 +70,41 @@ def _skew_sums(
     its over pass comes first in the word.  Every skew pair is one
     over-first and one under-first chord that interleave: upper when the
     over-first chord starts first, lower otherwise.  Chords of one kind are
-    never skew.  So one left-to-right walk finds every pair: the open
-    chords of each kind sit in Fenwick trees indexed by start position,
-    one tree per key, and a chord's end queries the other kind's trees
-    over its span.  O(n K log n) for K distinct keys; labels without a key
-    take no part.
+    never skew.  So one left-to-right walk finds every pair.  The open
+    chords of each kind and key are two bitmasks of their start positions,
+    one for positive and one for negative chords.  Every chord open at a
+    chord's end started before it, so the open chords of the other kind
+    that started inside its span are the mask bits above its start: a
+    shift and a popcount per mask.  O(n K) operations on integers of at
+    most 2n bits for K distinct keys; labels without a key take no part.
     """
-    size = len(code.word) + 1
-    start: dict[str, int] = {}
-    # open chords by kind (0: over-first, 1: under-first), then by key
-    trees: tuple[dict[Hashable, list[int]], dict[Hashable, list[int]]] = ({}, {})
+    begins: dict[str, int] = {}
+    # open chords by kind (0: over-first, 1: under-first), then by key: [plus, minus]
+    masks: tuple[dict[Hashable, list[int]], dict[Hashable, list[int]]] = ({}, {})
     sums: dict[tuple[str, Hashable, Hashable], int] = {}
     for pos, item in enumerate(code.word):
         label = item.label
         if label not in keys:
             continue
         key, sign = keys[label], signs[label]
-        begin = start.pop(label, None)
+        begin = begins.pop(label, None)
         if begin is None:
-            start[label] = pos
-            kind = 0 if item.kind == OVER else 1
-            if key not in trees[kind]:
-                trees[kind][key] = [0] * size
-            _fenwick_add(trees[kind][key], pos, sign)
+            begins[label] = pos
+            by_key = masks[item.kind != OVER]
+            if key not in by_key:
+                by_key[key] = [0, 0]
+            by_key[key][sign < 0] |= 1 << pos
             continue
-        kind = 1 if item.kind == OVER else 0
-        _fenwick_add(trees[kind][key], begin, -sign)
-        pair_kind = UPPER if kind == 0 else LOWER
-        for other_key, tree in trees[1 - kind].items():
-            count = _fenwick_prefix(tree, pos) - _fenwick_prefix(tree, begin + 1)
+        # a chord that ends on its over pass is under-first
+        kind = item.kind == OVER
+        masks[kind][key][sign < 0] ^= 1 << begin
+        pair_kind = LOWER if kind else UPPER
+        for other_key, (plus, minus) in masks[not kind].items():
+            count = (plus >> begin).bit_count() - (minus >> begin).bit_count()
             if count:
                 slot = (pair_kind, key, other_key)
                 sums[slot] = sums.get(slot, 0) + sign * count
     return sums
-
-
-def _fenwick_add(tree: list[int], begin: int, value: int) -> None:
-    i = begin + 1
-    while i < len(tree):
-        tree[i] += value
-        i += i & -i
-
-
-def _fenwick_prefix(tree: list[int], end: int) -> int:
-    """Sum over the positions before ``end``."""
-    total = 0
-    while end:
-        total += tree[end]
-        end &= end - 1
-    return total
 
 
 def casson_pm(code: KnotoidCode) -> CassonValues:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -110,6 +111,43 @@ def all_simple_dual_paths(pmap: PlanarMap) -> list[tuple[ArcStep, ...]]:
 
     extend(pmap.head_face, {pmap.head_face}, [])
     return paths
+
+
+def reference_dual_arc_steps(pmap: PlanarMap) -> tuple[ArcStep, ...]:
+    """Reference dual arc: breadth-first search over an adjacency list of every face.
+
+    Neighbors are listed per face in increasing edge index and the search
+    stops when it takes the leg face off the queue.
+    """
+    if pmap.head_face == pmap.leg_face:
+        return ()
+    adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in range(pmap.num_faces)}
+    for e in range(pmap.num_edges):
+        left, right = pmap.left_face(e), pmap.right_face(e)
+        if left != right:
+            adjacency[left].append((right, e))
+            adjacency[right].append((left, e))
+    parent: dict[int, tuple[int, int]] = {}
+    seen = {pmap.head_face}
+    queue = deque([pmap.head_face])
+    while queue:
+        f = queue.popleft()
+        if f == pmap.leg_face:
+            break
+        for g, e in adjacency[f]:
+            if g not in seen:
+                seen.add(g)
+                parent[g] = (f, e)
+                queue.append(g)
+    steps: list[ArcStep] = []
+    f = pmap.leg_face
+    while f != pmap.head_face:
+        prev, e = parent[f]
+        direction = RIGHT_TO_LEFT if prev == pmap.right_face(e) else LEFT_TO_RIGHT
+        steps.append(ArcStep(e, direction))
+        f = prev
+    steps.reverse()
+    return tuple(steps)
 
 
 def loop_class_along(pmap: PlanarMap, steps, label: str) -> int:

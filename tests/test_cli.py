@@ -79,6 +79,26 @@ def test_compute_invalid_content_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_compute_bad_second_block_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.knd"
+    path.write_text("name ok\n" + TWO_ONE_TEXT + "\n---\nname bad\nOa Ub Ua Ob ; a=+1 b=-2\n")
+    assert main(["compute", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: block 1: bad sign token 'b=-2'\n"
+
+
+def test_compute_non_utf8_file_exit_1(tmp_path, capsys):
+    path = tmp_path / "latin1.knd"
+    path.write_bytes(b"Oa Ua ; a=+1 \xff\n")
+    assert main(["compute", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: code text must be ASCII\n"
+
+
+def test_compute_directory_as_file_exit_1(tmp_path, capsys):
+    assert main(["compute", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
 def test_skein_single_crossing(two_one_file, capsys):
     assert main(["skein", two_one_file, "--crossing", "a"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -31,9 +31,10 @@ from knotoid_casson.fixtures import (
     four_six,
     two_one,
 )
+from knotoid_casson.moves import iter_walk
 from knotoid_casson.skew import casson_pm
 
-from support import canonical_relabel, code_strategy
+from support import canonical_relabel, code_strategy, realizable_code_strategy
 
 
 def test_parse_two_one():
@@ -66,6 +67,48 @@ def test_parse_allows_comments_and_blank_lines():
 
 def test_positions():
     assert two_one().positions() == {"a": (0, 2), "b": (3, 1)}
+
+
+def rescanned(code):
+    """Labels in order of first occurrence and their positions, read off the word."""
+    over, under, first = {}, {}, {}
+    for i, it in enumerate(code.word):
+        first.setdefault(it.label)
+        (over if it.kind == OVER else under)[it.label] = i
+    return tuple(first), {lab: (over[lab], under[lab]) for lab in first}
+
+
+def assert_positions_stored(code):
+    labels, positions = rescanned(code)
+    assert code.labels == labels
+    assert code.positions() == positions
+    assert dict(zip(code.labels, zip(code.over_pos, code.under_pos))) == positions
+
+
+@given(code_strategy(max_crossings=12), code_strategy(max_crossings=12))
+def test_positions_match_rescan_after_every_transform(a, b):
+    assert_positions_stored(parse_knotoid_code(serialize(a)))
+    for code in (switch_all(a), reverse(a), mirror(a), concat_product(a, b), concat_product(b, a)):
+        assert_positions_stored(code)
+    for label in a.labels:
+        assert_positions_stored(switch_crossing(a, label))
+
+
+@given(realizable_code_strategy(max_crossings=12))
+def test_positions_match_rescan_after_moves(code):
+    # every step of a walk is a code made by moves.apply
+    for _, reached in iter_walk(code, 20, code.n_crossings):
+        assert_positions_stored(reached)
+
+
+def test_positions_returns_a_copy():
+    code = two_one()
+    pos = code.positions()
+    pos["a"] = (9, 9)
+    del pos["b"]
+    pos["z"] = (0, 0)
+    assert code.positions() == {"a": (0, 2), "b": (3, 1)}
+    assert casson_pm(code) == (1, 0)
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,11 +1,13 @@
 """Planar map construction, realizability, and annulus loop classes."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
-from knotoid_casson.codes import mirror, parse_knotoid_code
+from knotoid_casson.analysis import generate_family
+from knotoid_casson.codes import mirror, parse_knotoid_code, read_code_blocks
 from knotoid_casson.fixtures import five_nineteen, four_six, named_fixtures, two_one
 from knotoid_casson.moves import r3_sites
 from knotoid_casson.planar import (
@@ -26,7 +28,10 @@ from support import (
     random_code,
     random_realizable_code,
     realizable_code_strategy,
+    reference_dual_arc_steps,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_two_one_map_counts():
@@ -72,6 +77,23 @@ def test_dual_arc_two_one():
     assert len(arc.steps) == 1
     assert arc.steps[0].edge == 2
     assert arc.steps[0].direction == RIGHT_TO_LEFT
+
+
+def test_dual_arc_matches_reference_on_fixtures_and_family():
+    codes = [
+        code for path in sorted(FIXTURES.glob("*.knd"))
+        for _, code in read_code_blocks(path.read_text())
+    ]
+    codes += [generate_family(j) for j in [*range(1, 33), 64, 128, 256, 512]]
+    for code in codes:
+        pm = build_planar_map(code)
+        assert dual_arc(pm).steps == reference_dual_arc_steps(pm)
+
+
+@given(realizable_code_strategy(max_crossings=40))
+def test_dual_arc_matches_reference_up_to_40(code):
+    pm = build_planar_map(code)
+    assert dual_arc(pm).steps == reference_dual_arc_steps(pm)
 
 
 def test_loop_edges():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotoid_casson.codes import concat_product, mirror, reverse, switch_all
+from knotoid_casson.analysis import generate_family
+from knotoid_casson.codes import KnotoidCode, concat_product, mirror, reverse, switch_all
 from knotoid_casson.fixtures import five_nineteen, four_six, two_one
 from knotoid_casson.homology import ModuleElement, Subgroup
 from knotoid_casson.skew import (
@@ -213,4 +214,42 @@ def test_homological_missing_class_raises_exactly_for_paired_crossings(code, rng
         with pytest.raises(KeyError):
             casson_homological(code, classes)
     else:
+        assert casson_homological(code, classes) == reference_casson_homological(code, classes)
+
+
+# --- the sweep at 256 and 1024 crossings, where its masks span many words ---
+
+
+def seeded_product(seed: int, n: int) -> KnotoidCode:
+    """A product of random codes of up to 40 crossings and sharpness-family members."""
+    rng = random.Random(seed)
+    code = KnotoidCode((), {})
+    while code.n_crossings < n:
+        room = n - code.n_crossings
+        if room >= 2 and rng.random() < 0.3:
+            factor = generate_family(rng.randint(1, min(16, room // 2)))
+        else:
+            factor = random_code(rng, rng.randint(1, min(40, room)))
+        code = concat_product(code, factor)
+    return code
+
+
+LARGE_CODES = [
+    ("product_256", lambda: seeded_product(256, 256)),
+    ("product_1024", lambda: seeded_product(1024, 1024)),
+    # one chord set spread over the whole word: long chords, many pairs
+    ("random_256", lambda: random_code(random.Random(2560), 256)),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in LARGE_CODES], ids=[i for i, _ in LARGE_CODES])
+def test_sweep_matches_listed_pairs_at_large_sizes(make):
+    code = make()
+    upper, lower = skew_pairs(code)
+    assert casson_pm(code) == (sum(p.sign for p in upper), sum(p.sign for p in lower))
+    rng = random.Random(code.n_crossings)
+    rank_one = {lab: rng.randint(-4, 4) for lab in code.labels}
+    assert len(set(rank_one.values())) >= 8
+    rank_two = {lab: (rng.randint(-2, 2), rng.randint(-2, 2)) for lab in code.labels}
+    for classes in (rank_one, rank_two):
         assert casson_homological(code, classes) == reference_casson_homological(code, classes)
