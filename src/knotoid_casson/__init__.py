@@ -45,7 +45,6 @@ from .homology import (
     ModuleElement,
     Subgroup,
     hermite_normal_form,
-    norm,
     subgroup_from_generators,
 )
 from .moves import (
@@ -66,11 +65,8 @@ from .planar import (
     all_loop_classes,
     build_planar_map,
     dual_arc,
-    endpoint_faces,
-    loop_class,
-    loop_edges,
 )
 from .skein import ConwayTriple, SkeinReport, conway_triple, lk_pm, verify_skein
-from .skew import CassonValues, SkewPair, augment, casson_homological, casson_pm, skew_pairs
+from .skew import CassonValues, SkewPair, casson_homological, casson_pm, skew_pairs
 
 __version__ = "0.1.0"

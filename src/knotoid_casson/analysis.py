@@ -31,9 +31,9 @@ from .codes import (
     UNDER,
     read_code_blocks,
 )
-from .homology import ModuleElement, Subgroup
+from .homology import ModuleElement
 from .planar import NonRealizableError, all_loop_classes
-from .skew import CassonValues, augment, casson_homological, casson_pm
+from .skew import CassonValues, casson_homological, casson_pm
 
 PROPER_BY_C = "ProperByC"
 PROPER_BY_CH = "ProperByCH"
@@ -85,7 +85,6 @@ def properness_certificate(
     values: CassonValues,
     ch_plus: ModuleElement | None = None,
     ch_minus: ModuleElement | None = None,
-    ambient_rank: int = 1,
 ) -> str:
     """Sufficient conditions for properness; Inconclusive proves nothing.
 
@@ -97,16 +96,11 @@ def properness_certificate(
         return PROPER_BY_C
     if ch_plus is None or ch_minus is None:
         return INCONCLUSIVE
-    rank = ambient_rank
+    # c_plus == c_minus here; c times <0> has one trivial term, or none when c is 0
+    expected = [(True, values.c_plus)] if values.c_plus else []
     for elem in (ch_plus, ch_minus):
-        for sub, _ in elem:
-            rank = sub.ambient_rank
-            break
-    trivial = Subgroup(rank, ())
-    expected_plus = ModuleElement.single(trivial, values.c_plus)
-    expected_minus = ModuleElement.single(trivial, values.c_minus)
-    if ch_plus != expected_plus or ch_minus != expected_minus:
-        return PROPER_BY_CH
+        if [(sub.is_trivial, c) for sub, c in elem] != expected:
+            return PROPER_BY_CH
     return INCONCLUSIVE
 
 
@@ -151,7 +145,7 @@ def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
             diagram_crossings=code.n_crossings,
         )
     ch_plus, ch_minus = casson_homological(code, classes)
-    values = CassonValues(augment(ch_plus), augment(ch_minus))
+    values = CassonValues(ch_plus.total_coefficient(), ch_minus.total_coefficient())
     return InvariantReport(
         name=name,
         c_plus=values.c_plus,

@@ -34,9 +34,8 @@ from .analysis import (
 )
 from .codes import CodeError, KnotoidCode, MultiKnotoidCode, serialize
 from .moves import iter_walk
-from .planar import NonRealizableError, build_planar_map
+from .planar import NonRealizableError
 from .skein import verify_skein
-from .skew import casson_pm
 
 
 def _load_knotoids(path: str) -> list[tuple[str, KnotoidCode]]:
@@ -81,11 +80,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def cmd_check_moves(args: argparse.Namespace) -> int:
     for name, code in _load_knotoids(args.file):
-        try:
-            build_planar_map(code)
-        except NonRealizableError as exc:
-            raise CodeError(f"{name}: move checking requires a realizable code") from exc
         base = full_report(code, name)
+        if base.is_virtual:
+            raise CodeError(f"{name}: move checking requires a realizable code")
         base_row = (base.c_plus, base.c_minus, base.ch_plus, base.ch_minus)
         performed = 0
         for trial in range(args.trials):

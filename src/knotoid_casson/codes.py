@@ -149,9 +149,6 @@ class KnotoidCode:
         """
         return dict(zip(self.labels, zip(self.over_pos, self.under_pos)))
 
-    def sign(self, label: str) -> int:
-        return self.signs[label]
-
 
 @dataclass(frozen=True, eq=False)
 class MultiKnotoidCode:

@@ -184,15 +184,3 @@ class ModuleElement:
 
     def __repr__(self) -> str:
         return f"ModuleElement({self})"
-
-
-def add(a: ModuleElement, b: ModuleElement) -> ModuleElement:
-    return a + b
-
-
-def scale(a: ModuleElement, n: int) -> ModuleElement:
-    return a * n
-
-
-def norm(e: ModuleElement) -> int:
-    return e.norm()

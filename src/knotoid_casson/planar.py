@@ -30,14 +30,11 @@ class +1 (the calibration pinned by the test suite).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Mapping, NamedTuple
+from typing import NamedTuple
 
-from .codes import OVER, KnotoidCode
-
-LEG = "<leg>"
-HEAD = "<head>"
+from .codes import KnotoidCode
 
 RIGHT_TO_LEFT = 1
 LEFT_TO_RIGHT = -1
@@ -62,19 +59,12 @@ class ArcStep(NamedTuple):
 class DualArc:
     steps: tuple[ArcStep, ...]
 
-    def edge_weights(self) -> dict[int, int]:
-        weights: dict[int, int] = {}
-        for e, d in self.steps:
-            weights[e] = weights.get(e, 0) + d
-        return weights
-
 
 @dataclass(frozen=True, eq=False)
 class PlanarMap:
-    """Rotation system, faces and side labels of a realizable knotoid code."""
+    """Faces and side labels of a realizable knotoid code."""
 
     code: KnotoidCode
-    rotation: Mapping[str, tuple[int, ...]]
     faces: tuple[tuple[int, ...], ...]
     dart_face: tuple[int, ...]
     leg_face: int
@@ -108,18 +98,15 @@ def build_planar_map(code: KnotoidCode) -> PlanarMap:
     num_edges = length + 1
     # the endpoints' single darts: forward dart of edge 0, backward dart of the last edge
     leg_dart, head_dart = 0, 2 * length + 1
-    rotation: dict[str, tuple[int, ...]] = {LEG: (leg_dart,), HEAD: (head_dart,)}
     prev_ccw = list(range(2 * num_edges))  # an endpoint's one dart precedes itself
     signs = code.signs
     for label, over, under in zip(code.labels, code.over_pos, code.under_pos):
         over_in, over_out = 2 * over + 1, 2 * over + 2
         under_in, under_out = 2 * under + 1, 2 * under + 2
-        if signs[label] > 0:
-            rotation[label] = (over_out, under_out, over_in, under_in)
+        if signs[label] > 0:  # counterclockwise: over_out, under_out, over_in, under_in
             prev_ccw[over_out], prev_ccw[under_out] = under_in, over_out
             prev_ccw[over_in], prev_ccw[under_in] = under_out, over_in
-        else:
-            rotation[label] = (over_out, under_in, over_in, under_out)
+        else:  # counterclockwise: over_out, under_in, over_in, under_out
             prev_ccw[over_out], prev_ccw[under_in] = under_out, over_out
             prev_ccw[over_in], prev_ccw[under_out] = under_in, over_in
 
@@ -145,17 +132,11 @@ def build_planar_map(code: KnotoidCode) -> PlanarMap:
         )
     return PlanarMap(
         code=code,
-        rotation=rotation,
         faces=tuple(faces),
         dart_face=tuple(dart_face),
         leg_face=dart_face[leg_dart],
         head_face=dart_face[head_dart],
     )
-
-
-def endpoint_faces(pmap: PlanarMap) -> tuple[int, int]:
-    """The unique faces incident to the beginning and end vertices."""
-    return pmap.leg_face, pmap.head_face
 
 
 def dual_arc(pmap: PlanarMap) -> DualArc:
@@ -189,22 +170,6 @@ def dual_arc(pmap: PlanarMap) -> DualArc:
         f = dart_face[d]
     steps.reverse()
     return DualArc(tuple(steps))
-
-
-def loop_edges(code: KnotoidCode, label: str) -> tuple[int, ...]:
-    """Edges of the loop cut off at a crossing: the sub-path between its passes."""
-    pos = code.positions()
-    if label not in pos:
-        raise KeyError(f"unknown crossing {label!r}")
-    first, second = sorted(pos[label])
-    return tuple(range(first + 1, second + 1))
-
-
-def loop_class(pmap: PlanarMap, arc: DualArc, label: str) -> tuple[int]:
-    """Annulus homology class of the loop at ``label``, in units of the generator."""
-    weights = arc.edge_weights()
-    total = sum(weights.get(e, 0) for e in loop_edges(pmap.code, label))
-    return (total,)
 
 
 def all_loop_classes(code: KnotoidCode) -> dict[str, tuple[int]]:

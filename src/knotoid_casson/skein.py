@@ -40,13 +40,14 @@ class ConwayTriple:
 
 def conway_triple(code: KnotoidCode, label: str) -> ConwayTriple:
     """Resolve ``label``: the two crossing states plus the oriented smoothing."""
-    pos = code.positions()
-    if label not in pos:
+    if label not in code.signs:
         raise KeyError(f"unknown crossing {label!r}")
-    over_pos, under_pos = pos[label]
+    i = code.labels.index(label)
+    over_pos, under_pos = code.over_pos[i], code.under_pos[i]
     d1 = code if over_pos < under_pos else switch_crossing(code, label)
     d2 = switch_crossing(d1, label)
-    first, second = sorted(d1.positions()[label])
+    # switching flips the passes of a crossing in place, so d1 has them here too
+    first, second = sorted((over_pos, under_pos))
     circle = d1.word[first + 1:second]
     segment = d1.word[:first] + d1.word[second + 1:]
     kept = {it.label for it in segment} | {it.label for it in circle}

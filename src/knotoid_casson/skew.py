@@ -154,8 +154,3 @@ def casson_homological(
         sub = subgroups[first, second]
         terms[kind][sub] = terms[kind].get(sub, 0) + count
     return ModuleElement(terms[UPPER]), ModuleElement(terms[LOWER])
-
-
-def augment(e: ModuleElement) -> int:
-    """Forget homological factors: sum of coefficients."""
-    return e.total_coefficient()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -13,7 +14,15 @@ from knotoid_casson.analysis import (
     generate_family,
     properness_certificate,
 )
-from knotoid_casson.codes import OVER, UNDER, Item, KnotoidCode, concat_product, mirror
+from knotoid_casson.codes import (
+    OVER,
+    UNDER,
+    Item,
+    KnotoidCode,
+    concat_product,
+    mirror,
+    parse_knotoid_code,
+)
 from knotoid_casson.homology import ModuleElement, as_class, subgroup_from_generators
 from knotoid_casson.moves import iter_walk
 from knotoid_casson.planar import (
@@ -24,9 +33,40 @@ from knotoid_casson.planar import (
     PlanarMap,
     build_planar_map,
     dual_arc,
-    loop_edges,
 )
 from knotoid_casson.skew import CassonValues, skew_pairs
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_text(name: str) -> str:
+    """The code line of ``fixtures/<name>.knd``, verbatim; the file holds one code."""
+    lines = (FIXTURES / f"{name}.knd").read_text().splitlines()
+    [line] = [ln for ln in lines if ";" in ln and not ln.startswith("#")]
+    return line
+
+
+# the published low-crossing examples: 2_1 and 4_6 share (C+, C-) = (1, 0)
+# but differ homologically; 5_19 has all four invariants zero
+TWO_ONE_TEXT = fixture_text("2_1")
+FOUR_SIX_TEXT = fixture_text("4_6")
+FIVE_NINETEEN_TEXT = fixture_text("5_19")
+
+
+def two_one() -> KnotoidCode:
+    return parse_knotoid_code(TWO_ONE_TEXT)
+
+
+def four_six() -> KnotoidCode:
+    return parse_knotoid_code(FOUR_SIX_TEXT)
+
+
+def five_nineteen() -> KnotoidCode:
+    return parse_knotoid_code(FIVE_NINETEEN_TEXT)
+
+
+def named_fixtures() -> dict[str, KnotoidCode]:
+    return {"2_1": two_one(), "4_6": four_six(), "5_19": five_nineteen()}
 
 
 def random_code(rng: random.Random, n_crossings: int) -> KnotoidCode:
@@ -148,6 +188,15 @@ def reference_dual_arc_steps(pmap: PlanarMap) -> tuple[ArcStep, ...]:
         f = prev
     steps.reverse()
     return tuple(steps)
+
+
+def loop_edges(code: KnotoidCode, label: str) -> tuple[int, ...]:
+    """Edges of the loop cut off at a crossing: the sub-path between its passes."""
+    pos = code.positions()
+    if label not in pos:
+        raise KeyError(f"unknown crossing {label!r}")
+    first, second = sorted(pos[label])
+    return tuple(range(first + 1, second + 1))
 
 
 def loop_class_along(pmap: PlanarMap, steps, label: str) -> int:

@@ -18,7 +18,6 @@ from knotoid_casson.analysis import (
     properness_certificate,
 )
 from knotoid_casson.codes import concat_product, mirror, reverse, switch_all
-from knotoid_casson.fixtures import five_nineteen, four_six, named_fixtures, two_one
 from knotoid_casson.homology import ModuleElement, Subgroup
 from knotoid_casson.moves import iter_walk
 from knotoid_casson.planar import NonRealizableError, all_loop_classes, build_planar_map
@@ -28,8 +27,12 @@ from knotoid_casson.skew import CassonValues, casson_homological, casson_pm, ske
 from support import (
     all_simple_dual_paths,
     brute_force_skew_pairs,
+    five_nineteen,
+    four_six,
     loop_class_along,
+    named_fixtures,
     random_code,
+    two_one,
 )
 
 

@@ -23,25 +23,22 @@ from knotoid_casson.analysis import (
     summary_table,
 )
 from knotoid_casson.codes import CodeError, parse_knotoid_code, serialize, switch_all
-from knotoid_casson.fixtures import (
-    FIVE_NINETEEN_TEXT,
-    FOUR_SIX_TEXT,
-    TWO_ONE_TEXT,
-    five_nineteen,
-    four_six,
-    named_fixtures,
-    two_one,
-)
 from knotoid_casson.homology import ModuleElement, Subgroup
-from knotoid_casson.planar import NonRealizableError, all_loop_classes
-from knotoid_casson.skew import CassonValues, casson_pm, skew_pairs
+from knotoid_casson.skew import CassonValues, skew_pairs
 
 from support import (
+    FIVE_NINETEEN_TEXT,
+    FIXTURES,
+    FOUR_SIX_TEXT,
+    TWO_ONE_TEXT,
     canonical_relabel,
     code_strategy,
+    five_nineteen,
+    four_six,
     random_realizable_code,
     realizable_code_strategy,
     reference_report,
+    two_one,
 )
 
 
@@ -80,6 +77,19 @@ def test_properness_synthetic_row():
 def test_properness_trivial_subgroup_terms_stay_inconclusive():
     cert = properness_certificate(CassonValues(2, 2), cyc(0, 2), cyc(0, 2))
     assert cert == INCONCLUSIVE
+
+
+def test_properness_rank_two_sums():
+    # C times the trivial subgroup of Z^2, not of Z, is what leaves C+ = C- inconclusive
+    trivial = ModuleElement.single(Subgroup.generated_by((0, 0)), 2)
+    assert properness_certificate(CassonValues(2, 2), trivial, trivial) == INCONCLUSIVE
+    proper = ModuleElement.single(Subgroup.generated_by((1, 0), (0, 2)), 2)
+    assert properness_certificate(CassonValues(2, 2), proper, trivial) == PROPER_BY_CH
+    assert properness_certificate(CassonValues(2, 2), trivial, proper) == PROPER_BY_CH
+    split = trivial + ModuleElement.single(Subgroup.generated_by((1, 0))) - ModuleElement.single(
+        Subgroup.generated_by((0, 1))
+    )
+    assert properness_certificate(CassonValues(2, 2), split, split) == PROPER_BY_CH
 
 
 def test_properness_virtual_skips_homological_check():
@@ -269,14 +279,11 @@ def test_load_catalog_errors_name_file_and_block(tmp_path):
 
 
 def test_shipped_fixture_catalog(tmp_path):
-    from pathlib import Path
-
-    shipped = Path(__file__).parent.parent / "fixtures"
-    entries = dict(load_catalog(shipped))
+    entries = dict(load_catalog(FIXTURES))
     assert {"2_1", "4_6", "5_19", "D_2", "D_3"} <= set(entries)
     assert entries["2_1"] == two_one()
     assert entries["D_2"] == generate_family(2)
-    reports = evaluate_catalog(shipped, tmp_path / "out")
+    reports = evaluate_catalog(FIXTURES, tmp_path / "out")
     by_name = {r.name: r for r in reports}
     assert by_name["4_6"].ch_plus == cyc(2)
     assert by_name["D_3"].norm_sum == 9

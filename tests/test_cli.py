@@ -8,8 +8,8 @@ from knotoid_casson import cli
 from knotoid_casson.analysis import generate_family
 from knotoid_casson.cli import main
 from knotoid_casson.codes import serialize
-from knotoid_casson.fixtures import FOUR_SIX_TEXT, TWO_ONE_TEXT, FIVE_NINETEEN_TEXT, five_nineteen
 from knotoid_casson.moves import iter_walk
+from support import FIVE_NINETEEN_TEXT, FOUR_SIX_TEXT, TWO_ONE_TEXT, five_nineteen
 
 
 @pytest.fixture
@@ -152,8 +152,9 @@ def test_check_moves_ok(two_one_file, capsys):
     assert out.startswith("OK 2_1")
 
 
-def test_check_moves_virtual_exit_1(virtual_file):
+def test_check_moves_virtual_exit_1(virtual_file, capsys):
     assert main(["check-moves", virtual_file, "--steps", "2", "--trials", "1"]) == 1
+    assert capsys.readouterr().err == "error: virtual: move checking requires a realizable code\n"
 
 
 def test_batch_and_catalog_summary(tmp_path, capsys):

@@ -23,18 +23,20 @@ from knotoid_casson.codes import (
     switch_all,
     switch_crossing,
 )
-from knotoid_casson.fixtures import (
-    FIVE_NINETEEN_TEXT,
-    FOUR_SIX_TEXT,
-    TWO_ONE_TEXT,
-    five_nineteen,
-    four_six,
-    two_one,
-)
 from knotoid_casson.moves import iter_walk
 from knotoid_casson.skew import casson_pm
 
-from support import canonical_relabel, code_strategy, realizable_code_strategy
+from support import (
+    FIVE_NINETEEN_TEXT,
+    FOUR_SIX_TEXT,
+    TWO_ONE_TEXT,
+    canonical_relabel,
+    code_strategy,
+    five_nineteen,
+    four_six,
+    realizable_code_strategy,
+    two_one,
+)
 
 
 def test_parse_two_one():

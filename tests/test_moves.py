@@ -6,7 +6,6 @@ import pytest
 
 from knotoid_casson.analysis import full_report
 from knotoid_casson.codes import parse_knotoid_code, serialize
-from knotoid_casson.fixtures import named_fixtures, two_one
 from knotoid_casson.moves import (
     IllegalMoveError,
     MoveInstance,
@@ -25,6 +24,7 @@ from knotoid_casson.moves import (
     random_walk,
 )
 from knotoid_casson.skew import casson_pm
+from support import named_fixtures, two_one
 
 
 def invariant_row(code, name=""):

@@ -1,14 +1,12 @@
 """Planar map construction, realizability, and annulus loop classes."""
 
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 from knotoid_casson.analysis import generate_family
 from knotoid_casson.codes import mirror, parse_knotoid_code, read_code_blocks
-from knotoid_casson.fixtures import five_nineteen, four_six, named_fixtures, two_one
 from knotoid_casson.moves import r3_sites
 from knotoid_casson.planar import (
     RIGHT_TO_LEFT,
@@ -16,22 +14,23 @@ from knotoid_casson.planar import (
     all_loop_classes,
     build_planar_map,
     dual_arc,
-    endpoint_faces,
-    loop_class,
-    loop_edges,
 )
 from knotoid_casson.skew import casson_homological
 
 from support import (
+    FIXTURES,
     all_simple_dual_paths,
+    five_nineteen,
+    four_six,
     loop_class_along,
+    loop_edges,
+    named_fixtures,
     random_code,
     random_realizable_code,
     realizable_code_strategy,
     reference_dual_arc_steps,
+    two_one,
 )
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_two_one_map_counts():
@@ -67,8 +66,7 @@ def test_nonrealizable_signed_variant():
 
 def test_endpoint_faces_two_one_distinct():
     pm = build_planar_map(two_one())
-    leg, head = endpoint_faces(pm)
-    assert leg != head
+    assert pm.leg_face != pm.head_face
 
 
 def test_dual_arc_two_one():
@@ -125,7 +123,7 @@ def test_loop_class_matches_all_loop_classes():
     arc = dual_arc(pm)
     classes = all_loop_classes(code)
     for lab in code.labels:
-        assert loop_class(pm, arc, lab) == classes[lab]
+        assert (loop_class_along(pm, arc.steps, lab),) == classes[lab]
 
 
 @given(realizable_code_strategy(max_crossings=40))

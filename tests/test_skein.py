@@ -13,11 +13,10 @@ from knotoid_casson.codes import (
     parse_multiknotoid_code,
     serialize,
 )
-from knotoid_casson.fixtures import five_nineteen, four_six, named_fixtures, two_one
 from knotoid_casson.skein import conway_triple, lk_pm, verify_skein
 from knotoid_casson.skew import casson_pm
 
-from support import random_code
+from support import five_nineteen, four_six, named_fixtures, random_code, two_one
 
 
 def test_conway_triple_two_one_at_a():
