@@ -45,7 +45,6 @@ from .homology import (
     ModuleElement,
     Subgroup,
     hermite_normal_form,
-    subgroup_from_generators,
 )
 from .moves import (
     IllegalMoveError,

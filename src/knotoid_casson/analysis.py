@@ -133,27 +133,20 @@ def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
         classes = all_loop_classes(code)
     except NonRealizableError:
         values = casson_pm(code)
-        return InvariantReport(
-            name=name,
-            c_plus=values.c_plus,
-            c_minus=values.c_minus,
-            ch_plus=None,
-            ch_minus=None,
-            norm_sum=None,
-            crossing_lower_bound=None,
-            properness=properness_certificate(values),
-            diagram_crossings=code.n_crossings,
-        )
-    ch_plus, ch_minus = casson_homological(code, classes)
-    values = CassonValues(ch_plus.total_coefficient(), ch_minus.total_coefficient())
+        ch_plus = ch_minus = norm_sum = bound = None
+    else:
+        ch_plus, ch_minus = casson_homological(code, classes)
+        values = CassonValues(ch_plus.total_coefficient(), ch_minus.total_coefficient())
+        norm_sum = ch_plus.norm() + ch_minus.norm()
+        bound = crossing_lower_bound(ch_plus, ch_minus)
     return InvariantReport(
         name=name,
         c_plus=values.c_plus,
         c_minus=values.c_minus,
         ch_plus=ch_plus,
         ch_minus=ch_minus,
-        norm_sum=ch_plus.norm() + ch_minus.norm(),
-        crossing_lower_bound=crossing_lower_bound(ch_plus, ch_minus),
+        norm_sum=norm_sum,
+        crossing_lower_bound=bound,
         properness=properness_certificate(values, ch_plus, ch_minus),
         diagram_crossings=code.n_crossings,
     )
@@ -264,13 +257,17 @@ def evaluate_catalog(
     """Report every catalog entry, in catalog order.
 
     Writes ``<name>.json`` per entry plus ``summary.txt`` into ``out_dir``
-    and returns the reports in catalog order.  Entry names are checked
-    before anything is written: a name that is empty, ``.``, ``..``,
-    holds a path separator, or repeats another raises ``CodeError``.
+    and returns the reports in catalog order.  ``out_dir`` must not be the
+    catalog directory itself, whose every file is read as codes; this is
+    checked before anything is read.  Entry names are checked before
+    anything is written: a name that is empty, ``.``, ``..``, holds a path
+    separator, or repeats another raises ``CodeError``.
     """
+    out = Path(out_dir)
+    if out.resolve() == Path(directory).resolve():
+        raise CodeError(f"{out}: reports cannot go into the catalog directory itself")
     entries = _catalog_entries(directory)
     _check_report_names(entries)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = []
     for _, name, code in entries:

@@ -152,11 +152,16 @@ class KnotoidCode:
 
 @dataclass(frozen=True, eq=False)
 class MultiKnotoidCode:
-    """Gauss code of a multi-knotoid: one open segment plus closed circles."""
+    """Gauss code of a multi-knotoid: one open segment plus closed circles.
+
+    ``labels`` lists the crossings in order of first occurrence, reading the
+    segment and then each circle from its starting item.
+    """
 
     segment: tuple[Item, ...]
     circles: tuple[tuple[Item, ...], ...]
     signs: Mapping[str, int]
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segment", tuple(self.segment))
@@ -165,7 +170,7 @@ class MultiKnotoidCode:
         every = list(self.segment)
         for c in self.circles:
             every.extend(c)
-        _check_passes(every, self.signs)
+        object.__setattr__(self, "labels", _check_passes(every, self.signs)[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiKnotoidCode):
@@ -204,17 +209,14 @@ def _content_lines(text: str) -> list[str]:
     return lines
 
 
-def _parse_item(token: str) -> Item:
-    if len(token) < 2 or token[0] not in (OVER, UNDER):
-        raise CodeSyntaxError(f"bad item token {token!r}")
-    label = token[1:]
-    if not _LABEL_RE.fullmatch(label):
-        raise CodeSyntaxError(f"bad item token {token!r}")
-    return Item(token[0], label)
-
-
 def _parse_items(text: str) -> tuple[Item, ...]:
-    return tuple(_parse_item(tok) for tok in text.split())
+    items = []
+    for token in text.split():
+        try:
+            items.append(Item(token[:1], token[1:]))
+        except CodeValidationError:
+            raise CodeSyntaxError(f"bad item token {token!r}") from None
+    return tuple(items)
 
 
 def _parse_signs(text: str) -> dict[str, int]:
@@ -230,15 +232,12 @@ def _parse_signs(text: str) -> dict[str, int]:
     return signs
 
 
-def parse_knotoid_code(text: str) -> KnotoidCode:
-    """Parse a one-line signed Gauss code; empty text is the trivial knotoid."""
-    lines = _content_lines(text)
+def _knotoid_from_lines(lines: list[str]) -> KnotoidCode:
     if not lines:
         return KnotoidCode((), {})
     if len(lines) > 1:
         raise CodeSyntaxError("a knotoid code is a single line (use --- between blocks)")
-    line = lines[0]
-    parts = line.split(";")
+    parts = lines[0].split(";")
     if len(parts) > 2:
         raise CodeSyntaxError("more than one ';' in code line")
     item_part = parts[0]
@@ -246,9 +245,7 @@ def parse_knotoid_code(text: str) -> KnotoidCode:
     return KnotoidCode(_parse_items(item_part), _parse_signs(sign_part))
 
 
-def parse_multiknotoid_code(text: str) -> MultiKnotoidCode:
-    """Parse a multi-knotoid block: 'segment:' line, 'circle:' lines, '; signs' line."""
-    lines = _content_lines(text)
+def _multiknotoid_from_lines(lines: list[str]) -> MultiKnotoidCode:
     if not lines or not lines[0].startswith("segment:"):
         raise CodeSyntaxError("multi-knotoid block must start with 'segment:'")
     segment = _parse_items(lines[0][len("segment:"):])
@@ -266,6 +263,16 @@ def parse_multiknotoid_code(text: str) -> MultiKnotoidCode:
     return MultiKnotoidCode(segment, tuple(circles), signs or {})
 
 
+def parse_knotoid_code(text: str) -> KnotoidCode:
+    """Parse a one-line signed Gauss code; empty text is the trivial knotoid."""
+    return _knotoid_from_lines(_content_lines(text))
+
+
+def parse_multiknotoid_code(text: str) -> MultiKnotoidCode:
+    """Parse a multi-knotoid block: 'segment:' line, 'circle:' lines, '; signs' line."""
+    return _multiknotoid_from_lines(_content_lines(text))
+
+
 def _format_sign(s: int) -> str:
     return "+1" if s > 0 else "-1"
 
@@ -277,15 +284,9 @@ def _sign_section(labels: Iterable[str], signs: Mapping[str, int]) -> str:
 def serialize(code: Union[KnotoidCode, MultiKnotoidCode]) -> str:
     """Round-tripping text form: ``parse(serialize(c)) == c``."""
     if isinstance(code, MultiKnotoidCode):
-        seen: dict[str, None] = {}
-        for it in code.segment:
-            seen.setdefault(it.label)
-        for c in code.circles:
-            for it in c:
-                seen.setdefault(it.label)
         lines = ["segment: " + " ".join(str(it) for it in code.segment)]
         lines.extend("circle: " + " ".join(str(it) for it in c) for c in code.circles)
-        lines.append("; " + _sign_section(seen, code.signs))
+        lines.append("; " + _sign_section(code.labels, code.signs))
         return "\n".join(line.rstrip() for line in lines)
     if not code.word:
         return ""
@@ -300,17 +301,14 @@ def read_code_blocks(
 
     Errors name the failing block by its index among the blocks read.
     """
-    if not text.isascii():
-        raise CodeSyntaxError("code text must be ASCII")
     blocks: list[list[str]] = [[]]
-    for raw in text.splitlines():
-        if raw.strip() == "---":
+    for line in _content_lines(text):
+        if line == "---":
             blocks.append([])
         else:
-            blocks[-1].append(raw)
+            blocks[-1].append(line)
     out: list[tuple[str | None, Union[KnotoidCode, MultiKnotoidCode]]] = []
-    for block in blocks:
-        lines = _content_lines("\n".join(block))
+    for lines in blocks:
         if not lines and len(blocks) > 1:
             continue
         try:
@@ -329,10 +327,9 @@ def _read_block(
         if not name or len(name.split()) != 1:
             raise CodeSyntaxError(f"bad name line {lines[0]!r}")
         lines = lines[1:]
-    body = "\n".join(lines)
     if any(line.startswith("segment:") for line in lines):
-        return name, parse_multiknotoid_code(body)
-    return name, parse_knotoid_code(body)
+        return name, _multiknotoid_from_lines(lines)
+    return name, _knotoid_from_lines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +385,13 @@ def concat_product(k1: KnotoidCode, k2: KnotoidCode) -> KnotoidCode:
     return KnotoidCode(k1.word + word2, signs)
 
 
-def fresh_labels(code: KnotoidCode, count: int, stem: str = "n") -> tuple[str, ...]:
-    """Deterministic labels not occurring in ``code`` (used by move insertions)."""
+def fresh_labels(code: KnotoidCode, count: int) -> tuple[str, ...]:
+    """Deterministic labels ``n<i>`` not occurring in ``code`` (used by move insertions)."""
     used = set(code.signs)
     out: list[str] = []
     i = 0
     while len(out) < count:
-        cand = f"{stem}{i}"
+        cand = f"n{i}"
         if cand not in used:
             out.append(cand)
             used.add(cand)

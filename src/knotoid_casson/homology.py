@@ -107,16 +107,6 @@ class Subgroup:
         return f"<{rows}>"
 
 
-def subgroup_from_generators(
-    v1: "int | Iterable[int]", v2: "int | Iterable[int]"
-) -> Subgroup:
-    """Canonical subgroup generated by two homology classes of equal rank."""
-    a, b = as_class(v1), as_class(v2)
-    if len(a) != len(b):
-        raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
-    return Subgroup.generated_by(a, b)
-
-
 class ModuleElement:
     """A finite integer formal sum of canonical subgroups (zero terms dropped)."""
 

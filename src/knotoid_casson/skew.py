@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, NamedTuple
 
 from .codes import OVER, KnotoidCode
-from .homology import (
-    HomologyClass,
-    ModuleElement,
-    Subgroup,
-    as_class,
-    subgroup_from_generators,
-)
+from .homology import HomologyClass, ModuleElement, Subgroup, as_class
 
 UPPER = "upper"
 LOWER = "lower"
@@ -150,7 +144,7 @@ def casson_homological(
     terms: dict[str, dict[Subgroup, int]] = {UPPER: {}, LOWER: {}}
     for (kind, first, second), count in _skew_sums(code, normalized, code.signs).items():
         if (first, second) not in subgroups:
-            subgroups[first, second] = subgroup_from_generators(first, second)
+            subgroups[first, second] = Subgroup.generated_by(first, second)
         sub = subgroups[first, second]
         terms[kind][sub] = terms[kind].get(sub, 0) + count
     return ModuleElement(terms[UPPER]), ModuleElement(terms[LOWER])

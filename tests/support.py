@@ -23,7 +23,7 @@ from knotoid_casson.codes import (
     mirror,
     parse_knotoid_code,
 )
-from knotoid_casson.homology import ModuleElement, as_class, subgroup_from_generators
+from knotoid_casson.homology import ModuleElement, Subgroup, as_class
 from knotoid_casson.moves import iter_walk
 from knotoid_casson.planar import (
     LEFT_TO_RIGHT,
@@ -252,7 +252,7 @@ def reference_casson_homological(code: KnotoidCode, classes) -> tuple[ModuleElem
             for lab in (p.first, p.second):
                 if lab not in normalized:
                     raise KeyError(f"no homology class for crossing {lab!r}")
-            sub = subgroup_from_generators(normalized[p.first], normalized[p.second])
+            sub = Subgroup.generated_by(normalized[p.first], normalized[p.second])
             total = total + ModuleElement.single(sub, p.sign)
         return total
 

@@ -234,7 +234,20 @@ def test_batch_into_its_own_catalog_names_the_file(tmp_path, capsys):
     catalog = tmp_path / "codes"
     catalog.mkdir()
     (catalog / "2_1.knd").write_text("name 2_1\n" + TWO_ONE_TEXT + "\n")
-    assert main(["batch", str(catalog), "--out", str(catalog)]) == 0
-    capsys.readouterr()
-    assert main(["batch", str(catalog), "--out", str(catalog)]) == 1
-    assert f"error: {catalog / '2_1.json'}: block 0: " in capsys.readouterr().err
+    before = {p: p.read_bytes() for p in catalog.iterdir()}
+    for out in (catalog, catalog / "sub" / ".."):
+        assert main(["batch", str(catalog), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {out}: reports cannot go into the catalog directory itself\n"
+        assert {p: p.read_bytes() for p in catalog.iterdir()} == before
+
+
+def test_batch_into_a_subdirectory_of_its_catalog_runs_twice(tmp_path, capsys):
+    catalog = tmp_path / "codes"
+    catalog.mkdir()
+    (catalog / "2_1.knd").write_text("name 2_1\n" + TWO_ONE_TEXT + "\n")
+    out_dir = catalog / "reports"
+    for _ in range(2):
+        assert main(["batch", str(catalog), "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out.startswith("wrote 1 report(s)")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["2_1.json", "summary.txt"]

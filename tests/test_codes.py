@@ -1,8 +1,10 @@
 """Gauss-code parsing, serialization, and elementary transforms."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from knotoid_casson.analysis import read_code_file
 from knotoid_casson.codes import (
     CodeError,
     CodeSyntaxError,
@@ -24,6 +26,7 @@ from knotoid_casson.codes import (
     switch_crossing,
 )
 from knotoid_casson.moves import iter_walk
+from knotoid_casson.skein import conway_triple
 from knotoid_casson.skew import casson_pm
 
 from support import (
@@ -130,6 +133,56 @@ def test_parse_rejects(bad):
         parse_knotoid_code(bad)
 
 
+PARSE_ERRORS = [
+    (parse_knotoid_code, "Xa Ua ; a=+1", CodeSyntaxError, "bad item token 'Xa'"),
+    (parse_knotoid_code, "O Ua ; a=+1", CodeSyntaxError, "bad item token 'O'"),
+    (parse_knotoid_code, "Oa- Ua ; a=+1", CodeSyntaxError, "bad item token 'Oa-'"),
+    (parse_knotoid_code, "O'a Ua ; a=+1", CodeSyntaxError, "bad item token \"O'a\""),
+    (parse_knotoid_code, "Oa Ua ; a=+2", CodeSyntaxError, "bad sign token 'a=+2'"),
+    (parse_knotoid_code, "Oa Ua ; a=+1 a=-1", CodeValidationError, "duplicate sign for label 'a'"),
+    (parse_knotoid_code, "Oa Ua ; a=+1 ; b=+1", CodeSyntaxError, "more than one ';' in code line"),
+    (parse_knotoid_code, "Oa Ua ; a=+1\nOb Ub ; b=+1", CodeSyntaxError,
+     "a knotoid code is a single line (use --- between blocks)"),
+    (parse_knotoid_code, "Oa Ua ; a=+1 \u00e9", CodeSyntaxError, "code text must be ASCII"),
+    (parse_multiknotoid_code, "", CodeSyntaxError, "multi-knotoid block must start with 'segment:'"),
+    (parse_multiknotoid_code, "circle: Oa Ua\n; a=+1", CodeSyntaxError,
+     "multi-knotoid block must start with 'segment:'"),
+    (parse_multiknotoid_code, "segment: Oa Ua\n; a=+1\ncircle: Ob", CodeSyntaxError,
+     "content after the sign line"),
+    (parse_multiknotoid_code, "segment: Oa\nUa ; a=+1", CodeSyntaxError,
+     "unexpected line 'Ua ; a=+1' in multi-knotoid block"),
+    (parse_multiknotoid_code, "segment: Oa Ua ; a=+1", CodeSyntaxError, "bad item token ';'"),
+    (read_code_blocks, "name two words\nOa Ua ; a=+1", CodeSyntaxError,
+     "block 0: bad name line 'name two words'"),
+    (read_code_blocks, "name x\n---\n\n---\nOa Ub ; a=+1", CodeValidationError,
+     "block 1: label 'a' must occur exactly twice, once over and once under"),
+    (read_code_blocks, "Oa Ua ; a=+1\nsegment: Ob", CodeSyntaxError,
+     "block 0: multi-knotoid block must start with 'segment:'"),
+    (read_code_blocks, "Oa Ua ; a=+1\n---\n\u00e9", CodeSyntaxError, "code text must be ASCII"),
+]
+
+
+@pytest.mark.parametrize("parse, text, error, message", PARSE_ERRORS)
+def test_parse_error_type_and_text(parse, text, error, message):
+    with pytest.raises(CodeError) as info:
+        parse(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"Oa Ua ; a=+1\n---\nXa Ua ; a=+1\n", "block 1: bad item token 'Xa'"),
+    ("Oa Ua ; a=+1 \u00e9\n".encode("utf-8"), "code text must be ASCII"),
+    (b"Oa Ua ; a=+1 \xff\n", "code text must be ASCII"),
+])
+def test_file_parse_error_names_the_file(tmp_path, content, message):
+    path = tmp_path / "bad.knd"
+    path.write_bytes(content)
+    with pytest.raises(CodeSyntaxError) as info:
+        read_code_file(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_parse_rejects_non_ascii():
     with pytest.raises(CodeSyntaxError):
         parse_knotoid_code("Oα Uα ; α=+1")
@@ -227,9 +280,10 @@ def test_product_associative_up_to_relabeling(a, b, c):
 
 
 def test_fresh_labels_avoid_collisions():
-    labels = fresh_labels(two_one(), 2, stem="a")
-    assert labels == ("a0", "a1")
-    assert not set(labels) & set(two_one().signs)
+    code = parse_knotoid_code("On0 Un0 ; n0=+1")
+    labels = fresh_labels(code, 2)
+    assert labels == ("n1", "n2")
+    assert not set(labels) & set(code.signs)
 
 
 # --- multi-knotoid codes ---------------------------------------------------
@@ -275,6 +329,39 @@ def test_multiknotoid_roundtrip():
 
 
 # --- file blocks -------------------------------------------------------------
+
+
+def parses_or_raises_code_error(text):
+    """Each parse entry point either returns or raises ``CodeError``, nothing else."""
+    for parse in (parse_knotoid_code, parse_multiknotoid_code, read_code_blocks):
+        try:
+            parse(text)
+        except CodeError:
+            pass
+
+
+# pieces of the code grammar, so that random texts get past the first token
+CODE_TEXT_PIECES = st.sampled_from([
+    "O", "U", "a", "b1", "'", ";", "=", "+1", "-1", " ", "\t", "\n", "\r", "#", "---",
+    "name ", "segment:", "circle:", "Oa", "Ua", "Ob1", "Ub1", "a=+1", "b1=-1",
+]) | st.characters(max_codepoint=127)
+
+
+@given(st.lists(CODE_TEXT_PIECES).map("".join))
+def test_any_ascii_text_parses_or_raises_code_error(text):
+    parses_or_raises_code_error(text)
+
+
+@settings(max_examples=20)
+@given(st.lists(realizable_code_strategy(max_crossings=40), min_size=1, max_size=3), st.booleans())
+def test_every_prefix_of_a_code_file_parses_or_raises_code_error(codes, smooth_last):
+    blocks = [f"name k{i}\n{serialize(code)}" for i, code in enumerate(codes)]
+    if smooth_last and codes[-1].labels:
+        blocks[-1] = serialize(conway_triple(codes[-1], codes[-1].labels[0]).d0)
+    text = "\n---\n".join(blocks) + "\n"
+    assert len(read_code_blocks(text)) == len(blocks)
+    for end in range(len(text)):
+        parses_or_raises_code_error(text[:end])
 
 
 def test_read_code_blocks_names_and_separators():

@@ -8,7 +8,6 @@ from knotoid_casson.homology import (
     ModuleElement,
     Subgroup,
     hermite_normal_form,
-    subgroup_from_generators,
 )
 
 
@@ -17,17 +16,17 @@ def cyc(j, coeff=1):
 
 
 def test_rank_one_generators_gcd():
-    assert subgroup_from_generators(1, 2) == Subgroup.cyclic(1)
-    assert subgroup_from_generators(2, 2) == Subgroup.cyclic(2)
-    assert subgroup_from_generators(0, 0) == Subgroup.cyclic(0)
-    assert subgroup_from_generators(6, 4) == Subgroup.cyclic(2)
-    assert subgroup_from_generators(0, 3) == Subgroup.cyclic(3)
+    assert Subgroup.generated_by(1, 2) == Subgroup.cyclic(1)
+    assert Subgroup.generated_by(2, 2) == Subgroup.cyclic(2)
+    assert Subgroup.generated_by(0, 0) == Subgroup.cyclic(0)
+    assert Subgroup.generated_by(6, 4) == Subgroup.cyclic(2)
+    assert Subgroup.generated_by(0, 3) == Subgroup.cyclic(3)
 
 
 def test_rank_one_sign_blind_and_symmetric():
     assert Subgroup.cyclic(3) == Subgroup.cyclic(-3)
-    assert subgroup_from_generators(4, 6) == subgroup_from_generators(6, 4)
-    assert subgroup_from_generators(-4, 6) == subgroup_from_generators(4, -6)
+    assert Subgroup.generated_by(4, 6) == Subgroup.generated_by(6, 4)
+    assert Subgroup.generated_by(-4, 6) == Subgroup.generated_by(4, -6)
 
 
 def test_trivial_subgroup_is_distinct_basis_element():
@@ -39,7 +38,7 @@ def test_trivial_subgroup_is_distinct_basis_element():
 
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
-        subgroup_from_generators((1, 0), (1,))
+        Subgroup.generated_by((1, 0), (1,))
 
 
 def test_hnf_examples_rank_two():
