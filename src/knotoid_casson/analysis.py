@@ -17,6 +17,7 @@ modulo that symmetry.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
@@ -33,7 +34,7 @@ from .codes import (
 )
 from .homology import ModuleElement
 from .planar import NonRealizableError, all_loop_classes
-from .skew import CassonValues, casson_homological, casson_pm
+from .skew import CassonValues, _subgroup_sums, casson_pm
 
 PROPER_BY_C = "ProperByC"
 PROPER_BY_CH = "ProperByCH"
@@ -74,11 +75,12 @@ class InvariantReport:
 
 def crossing_lower_bound(ch_plus: ModuleElement, ch_minus: ModuleElement) -> int:
     """Least n >= 0 with floor(n^2/4) >= |ch_plus| + |ch_minus|."""
-    target = ch_plus.norm() + ch_minus.norm()
-    n = 0
-    while n * n // 4 < target:
-        n += 1
-    return n
+    return _least_crossings(ch_plus.norm() + ch_minus.norm())
+
+
+def _least_crossings(norm_sum: int) -> int:
+    # floor(n^2/4) >= t for an integer t >= 1 exactly when n^2 >= 4t, so n = ceil(sqrt(4t))
+    return 0 if norm_sum == 0 else math.isqrt(4 * norm_sum - 1) + 1
 
 
 def properness_certificate(
@@ -99,7 +101,7 @@ def properness_certificate(
     # c_plus == c_minus here; c times <0> has one trivial term, or none when c is 0
     expected = [(True, values.c_plus)] if values.c_plus else []
     for elem in (ch_plus, ch_minus):
-        if [(sub.is_trivial, c) for sub, c in elem] != expected:
+        if [(sub.is_trivial, c) for sub, c in elem.terms().items()] != expected:
             return PROPER_BY_CH
     return INCONCLUSIVE
 
@@ -135,10 +137,11 @@ def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
         values = casson_pm(code)
         ch_plus = ch_minus = norm_sum = bound = None
     else:
-        ch_plus, ch_minus = casson_homological(code, classes)
-        values = CassonValues(ch_plus.total_coefficient(), ch_minus.total_coefficient())
-        norm_sum = ch_plus.norm() + ch_minus.norm()
-        bound = crossing_lower_bound(ch_plus, ch_minus)
+        upper, lower = _subgroup_sums(code, classes)
+        ch_plus, ch_minus = ModuleElement(upper), ModuleElement(lower)
+        values = CassonValues(sum(upper.values()), sum(lower.values()))
+        norm_sum = sum(map(abs, upper.values())) + sum(map(abs, lower.values()))
+        bound = _least_crossings(norm_sum)
     return InvariantReport(
         name=name,
         c_plus=values.c_plus,
@@ -171,8 +174,12 @@ def reports_match_up_to_switch(a: InvariantReport, b: InvariantReport) -> bool:
 def odd_conjecture_experiment(report: InvariantReport) -> dict:
     """Both sides of the conjectured odd-crossing sharpening; never asserted.
 
-    Uses the diagram's crossing count for the right-hand side, which upper
-    bounds the true crossing number.
+    The sharpening, norm_sum + 1 <= floor(n^2/4) for odd n, is conjectured
+    for proper knotoids only; ``lhs`` may exceed ``rhs`` on others, as on the
+    knot-type diagram "Oc0 Uc1 Oc2 Uc0 Oc1 Uc2 ; c0=+1 c1=+1 c2=+1"
+    (norm_sum 2, lhs 3, rhs 2, certificate Inconclusive).  Uses the
+    diagram's crossing count for the right-hand side, which upper bounds
+    the true crossing number.
     """
     n = report.diagram_crossings
     lhs = None if report.norm_sum is None else report.norm_sum + 1

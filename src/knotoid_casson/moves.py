@@ -1,4 +1,4 @@
-"""Reidemeister moves as word rewrites with a realizability recheck.
+"""Reidemeister moves as word rewrites, legal when their result is planar.
 
 Moves act on the Gauss word:
 
@@ -11,11 +11,62 @@ Moves act on the Gauss word:
   blocks (Ox Oy / Uy Uz / Oz Ux, or the mirror-image arrangement), for
   crossings signed (+1, -1, +1).
 
-Every candidate is validated by rebuilding the planar map of the result:
-a candidate whose result is not spherically realizable was not a planar
-move and is rejected.  Pushing strands over the endpoints cannot arise at
-the word level; insertions at the extreme gaps stay legal because they
-happen in a disk missing the endpoints.
+A rewrite at a valid site is a move exactly when its result is spherically
+realizable.  Pushing strands over the endpoints cannot arise at the word
+level; insertions at the extreme gaps stay legal because they happen in a
+disk missing the endpoints.  Legality is read off the faces of the code
+being moved (``planar.trace_faces``), never off a rebuilt result;
+``tests/support.py`` keeps the rebuild as the oracle for every rule below.
+
+Why faces decide.  A code with n crossings has n + 2 vertices and 2n + 1
+edges, and its forced rotation system has F faces with
+(n + 2) - (2n + 1) + F = 2 - 2g <= 2, the graph being connected; so
+F <= n + 1, with equality exactly when the code is realizable.  A move
+changes the rotation system only inside a box around the crossings it
+adds, removes or rearranges, which meets the rest of the diagram in the
+darts of the edges it cuts.  A face that enters the box on a dart leaves
+it on a dart T(entry); faces that never enter the box are unchanged.  So
+the faces through the box are the cycles of "follow T, then the outside",
+and the box may close faces of its own.  Changing T by exchanging the
+exits of two entries splits a cycle in two when both entries lie on one
+face and joins two cycles otherwise.  Tracing T through the rotations of
+``planar.py`` gives the face count F' of the result:
+
+* Kink (R1).  The loop's two darts lie on different strands, so they are
+  adjacent in the new crossing's rotation: the loop closes a monogon, and
+  a face entering the box along the cut edge leaves along it, so T is
+  straight through.  F' = F + 1 for an insertion, F - 1 for a deletion;
+  n moves by one too, so the result is realizable exactly when the input
+  is.
+* Bigon insertion (R2), over block at gap g_o and under block at gap g_u,
+  signs s for x and -s for y.  The new rotations close one face inside,
+  the bigon, and T is straight through except that two entries exchange
+  exits.  The entries are the cut edges' darts on these sides (the left
+  side of edge e is its forward dart 2e, the right side its backward dart
+  2e + 1):
+
+      parallel,     s = +1:  right of g_o, left of g_u
+      parallel,     s = -1:  left of g_o,  right of g_u
+      antiparallel, s = +1:  left of g_o,  left of g_u
+      antiparallel, s = -1:  right of g_o, right of g_u
+
+  When g_o == g_u both blocks cut one edge, and the table holds for either
+  stacking.  So F' = F + 2 when the two sides are one face and F' = F
+  otherwise.  The result has n + 2 crossings: it is realizable exactly
+  when the input is and the two sides are one face, and never when the
+  input is virtual (F < n + 1).
+* Bigon deletion (R2) is the inverse: the input is the insertion into the
+  result, and its two entries are darts of the input on the same sides,
+  read on the edges just outside the blocks: a left side on the edge
+  entering a block (edge p for a block at position p), a right side on
+  the edge leaving it (edge p + 2).  F' = F - 2 when they lie on
+  different faces and F' = F when on one.  On a realizable input they
+  always lie on different faces, since F' = n + 1 would give the result
+  (n - 2 crossings) V - E + F' = 4; so its deletions are always legal.  A
+  virtual input's deletion is legal when F' = n - 1.
+* Triangle (R3).  Both arrangements, at signs (+1, -1, +1), send each of
+  the six entries to the same exit and close one face inside, the
+  triangle.  So F' = F: legal exactly when the input is realizable.
 """
 
 from __future__ import annotations
@@ -25,7 +76,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .codes import OVER, UNDER, Item, KnotoidCode, fresh_labels
-from .planar import NonRealizableError, build_planar_map
+from .planar import trace_faces
 
 R1_INSERT = "R1Insert"
 R1_DELETE = "R1Delete"
@@ -161,13 +212,40 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
     return KnotoidCode(tuple(word), signs)
 
 
+def _bigon_sides(sign: int, parallel: bool) -> tuple[int, int]:
+    """Sides (0 left, 1 right) of the over and the under gap whose faces decide
+    an R2 move: the module docstring's table."""
+    return int((sign > 0) == parallel), int(sign < 0)
+
+
+def _is_legal(
+    code: KnotoidCode, faces: tuple[list[int], list[tuple[int, ...]]], move: MoveInstance
+) -> bool:
+    """Whether the rewrite of a valid site has a spherical result.
+
+    ``faces`` is ``trace_faces(code)``.  The result has n' + 1 faces exactly
+    when it is realizable, and its face count follows from the faces of
+    ``code`` by the rules of the module docstring.
+    """
+    dart_face, orbits = faces
+    count, n = len(orbits), code.n_crossings
+    if move.kind == R2_INSERT:
+        (g_over, g_under), (s_over, s_under) = move.gaps, _bigon_sides(move.signs[0], move.parallel)
+        return count == n + 1 and dart_face[2 * g_over + s_over] == dart_face[2 * g_under + s_under]
+    if move.kind == R2_DELETE:
+        # a left side is read on the edge entering a block, a right side on the edge leaving it
+        (p_over, p_under), (s_over, s_under) = move.positions, _bigon_sides(move.signs[0], move.parallel)
+        over, under = 2 * (p_over + 2 * s_over) + s_over, 2 * (p_under + 2 * s_under) + s_under
+        return count - 2 * (dart_face[over] != dart_face[under]) == n - 1
+    # kinks and triangles keep the face count in step with the crossings
+    return count == n + 1
+
+
 def apply(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
-    """Apply a move; the result is validated and rechecked for realizability."""
+    """Apply a move; the site is validated and legality read off the faces of ``code``."""
     result = _rewrite(code, move)
-    try:
-        build_planar_map(result)
-    except NonRealizableError as exc:
-        raise IllegalMoveError(f"{move.kind} result is not spherically realizable") from exc
+    if not _is_legal(code, trace_faces(code), move):
+        raise IllegalMoveError(f"{move.kind} result is not spherically realizable")
     return result
 
 
@@ -230,85 +308,93 @@ def _adjacent_blocks(code: KnotoidCode, kind1: str, kind2: str) -> list[tuple[in
 
 
 def r2_delete_sites(code: KnotoidCode) -> list[MoveInstance]:
-    over_blocks = _adjacent_blocks(code, OVER, OVER)
-    under_blocks = _adjacent_blocks(code, UNDER, UNDER)
+    signs = code.signs
+    under_blocks = {(u1, u2): q for q, u1, u2 in _adjacent_blocks(code, UNDER, UNDER)}
     out = []
-    for p, x, y in over_blocks:
-        if code.signs[x] != -code.signs[y]:
+    for p, x, y in _adjacent_blocks(code, OVER, OVER):
+        if signs[x] != -signs[y]:
             continue
-        for q, u1, u2 in under_blocks:
-            if {u1, u2} != {x, y}:
-                continue
-            out.append(MoveInstance(
-                R2_DELETE, positions=(p, q), labels=(x, y),
-                signs=(code.signs[x],), parallel=(u1 == x),
-            ))
+        # a label has one under pass, so at most one under block holds both labels
+        for parallel, pair in ((True, (x, y)), (False, (y, x))):
+            q = under_blocks.get(pair)
+            if q is not None:
+                out.append(MoveInstance(
+                    R2_DELETE, positions=(p, q), labels=(x, y),
+                    signs=(signs[x],), parallel=parallel,
+                ))
     return out
 
 
 def r3_sites(code: KnotoidCode) -> list[MoveInstance]:
     signs = code.signs
-    over_over = _adjacent_blocks(code, OVER, OVER)
     under_under = _adjacent_blocks(code, UNDER, UNDER)
+    # a label has one under pass, so at most one under block starts, and one ends, with it;
+    # blocks never repeat a label, so z is neither a nor b when the third block exists
+    starting = {u1: (q, u2) for q, u1, u2 in under_under}
+    ending = {u2: (q, u1) for q, u1, u2 in under_under}
     over_under = {(a, b): p for p, a, b in _adjacent_blocks(code, OVER, UNDER)}
     under_over = {(a, b): p for p, a, b in _adjacent_blocks(code, UNDER, OVER)}
     out = []
-    for p1, a, b in over_over:
-        # left arrangement: (x+ y+) = (Oa, Ob)
-        if signs[a] == 1 and signs[b] == -1:
-            for p2, u1, u2 in under_under:
-                if u1 != b or u2 in (a, b) or signs[u2] != 1:
-                    continue
-                p3 = over_under.get((u2, a))
-                if p3 is not None:
-                    out.append(MoveInstance(R3, positions=(p1, p2, p3), labels=(a, b, u2)))
-        # right arrangement: (y+ x+) = (Oa, Ob)
-        if signs[b] == 1 and signs[a] == -1:
-            for p2, u1, u2 in under_under:
-                if u2 != a or u1 in (a, b) or signs[u1] != 1:
-                    continue
-                p3 = under_over.get((b, u1))
-                if p3 is not None:
-                    out.append(MoveInstance(R3, positions=(p1, p2, p3), labels=(b, a, u1)))
+    for p1, a, b in _adjacent_blocks(code, OVER, OVER):
+        # left arrangement: (x+ y-) = (Oa, Ob), then (Ub Uz) and (Oz Ua)
+        if signs[a] == 1 and signs[b] == -1 and b in starting:
+            p2, z = starting[b]
+            p3 = over_under.get((z, a))
+            if signs[z] == 1 and p3 is not None:
+                out.append(MoveInstance(R3, positions=(p1, p2, p3), labels=(a, b, z)))
+        # right arrangement: (y- x+) = (Oa, Ob), then (Uz Ua) and (Ub Oz)
+        elif signs[b] == 1 and signs[a] == -1 and a in ending:
+            p2, z = ending[a]
+            p3 = under_over.get((b, z))
+            if signs[z] == 1 and p3 is not None:
+                out.append(MoveInstance(R3, positions=(p1, p2, p3), labels=(b, a, z)))
     return out
 
 
 def enumerate_moves(code: KnotoidCode) -> list[MoveInstance]:
-    """All legal deletion and triangle sites plus realizable insertions.
+    """All legal deletion and triangle sites plus legal insertions, from one face tracing.
 
     Insertions are the bounded candidate set (kinks at every gap in every
-    chirality and sign; generating-variant bigons at every gap pair), each
-    kept only if the realizability recheck passes.
+    chirality and sign; generating-variant bigons at every gap pair), in
+    that order.  A virtual code admits no insertion; a realizable one admits
+    every kink, and the bigons whose sides share a face, found per gap from
+    the edges bordering that face: O(n + output).
     """
-    length = len(code.word)
+    faces = trace_faces(code)
+    legal = [
+        move for move in r1_delete_sites(code) + r2_delete_sites(code) + r3_sites(code)
+        if _is_legal(code, faces, move)
+    ]
+    dart_face, orbits = faces
+    if len(orbits) != code.n_crossings + 1:
+        return legal
+    gaps = range(len(code.word) + 1)
     x, y = fresh_labels(code, 2)
-    candidates: list[MoveInstance] = []
-    candidates += r1_delete_sites(code)
-    candidates += r2_delete_sites(code)
-    candidates += r3_sites(code)
-    for gap in range(length + 1):
+    for gap in gaps:
         for over_first in (True, False):
             for sign in (1, -1):
-                candidates.append(MoveInstance(
+                legal.append(MoveInstance(
                     R1_INSERT, gaps=(gap,), labels=(x,), signs=(sign,),
                     over_first=over_first,
                 ))
-    for g_over in range(length + 1):
-        for g_under in range(length + 1):
+    # side (0 left, 1 right) -> face -> the edges with that face on that side
+    bordering: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
+    for dart, face in enumerate(dart_face):
+        bordering[dart & 1].setdefault(face, set()).add(dart >> 1)
+    for g_over in gaps:
+        under_gaps = {}
+        for sign in (1, -1):
+            s_over, s_under = _bigon_sides(sign, True)
+            under_gaps[sign] = bordering[s_under].get(dart_face[2 * g_over + s_over], set())
+        for g_under in sorted(under_gaps[1] | under_gaps[-1]):
             stackings = (True, False) if g_over == g_under else (True,)
             for over_first in stackings:
                 for sign in (1, -1):
-                    candidates.append(MoveInstance(
-                        R2_INSERT, gaps=(g_over, g_under), labels=(x, y),
-                        signs=(sign,), over_first=over_first,
-                    ))
-    legal = []
-    for move in candidates:
-        try:
-            apply(code, move)
-        except IllegalMoveError:
-            continue
-        legal.append(move)
+                    if g_under in under_gaps[sign]:
+                        legal.append(MoveInstance(
+                            R2_INSERT, gaps=(g_over, g_under), labels=(x, y),
+                            signs=(sign,), over_first=over_first,
+                        ))
     return legal
 
 
@@ -352,11 +438,17 @@ def iter_walk(
 
     Steps with no legal candidate after a bounded number of attempts are
     skipped.  Insertions are disabled once the code exceeds its starting
-    size by ``growth_cap`` crossings, keeping walks bounded.
+    size by ``growth_cap`` crossings, keeping walks bounded.  The faces of
+    each code reached are traced at most once, and only when a candidate
+    needs them; a rejected candidate is never rewritten.
     """
     rng = random.Random(seed)
     current = code
     cap = code.n_crossings + growth_cap
+    # every performed step reaches a realizable code, where every valid kink,
+    # bigon deletion and triangle site is a move
+    faces = trace_faces(code)
+    realizable = len(faces[1]) == code.n_crossings + 1
     for _ in range(steps):
         weights = _SHRINK_WEIGHTS if current.n_crossings >= cap else _GROW_WEIGHTS
         for _attempt in range(_MAX_ATTEMPTS):
@@ -364,10 +456,13 @@ def iter_walk(
             move = _random_candidate(current, kind, rng)
             if move is None:
                 continue
-            try:
-                current = apply(current, move)
-            except IllegalMoveError:
-                continue
+            if kind == R2_INSERT or not realizable:
+                if faces is None:
+                    faces = trace_faces(current)
+                if not _is_legal(current, faces, move):
+                    continue
+            current = _rewrite(current, move)
+            faces, realizable = None, True
             yield move, current
             break
     return

@@ -92,12 +92,11 @@ class PlanarMap:
         return self.num_vertices - self.num_edges + self.num_faces
 
 
-def build_planar_map(code: KnotoidCode) -> PlanarMap:
-    """Trace the rotation system forced by the signs; raise if not spherical."""
+def trace_faces(code: KnotoidCode) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The face of every dart and the faces (dart orbits) of the rotation
+    system forced by the signs, realizable or not."""
     length = len(code.word)
     num_edges = length + 1
-    # the endpoints' single darts: forward dart of edge 0, backward dart of the last edge
-    leg_dart, head_dart = 0, 2 * length + 1
     prev_ccw = list(range(2 * num_edges))  # an endpoint's one dart precedes itself
     signs = code.signs
     for label, over, under in zip(code.labels, code.over_pos, code.under_pos):
@@ -123,19 +122,26 @@ def build_planar_map(code: KnotoidCode) -> PlanarMap:
             orbit.append(d)
             d = prev_ccw[d ^ 1]
         faces.append(tuple(orbit))
+    return dart_face, faces
 
+
+def build_planar_map(code: KnotoidCode) -> PlanarMap:
+    """Trace the rotation system forced by the signs; raise if not spherical."""
+    dart_face, faces = trace_faces(code)
+    num_edges = len(code.word) + 1
     euler = (code.n_crossings + 2) - num_edges + len(faces)
     if euler != 2:
         raise NonRealizableError(
             f"code has no spherical diagram (Euler characteristic {euler})",
             genus=(2 - euler) // 2,
         )
+    # the endpoints' single darts: forward dart of edge 0, backward dart of the last edge
     return PlanarMap(
         code=code,
         faces=tuple(faces),
         dart_face=tuple(dart_face),
-        leg_face=dart_face[leg_dart],
-        head_face=dart_face[head_dart],
+        leg_face=dart_face[0],
+        head_face=dart_face[2 * num_edges - 1],
     )
 
 

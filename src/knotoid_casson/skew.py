@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, NamedTuple
 
 from .codes import OVER, KnotoidCode
-from .homology import HomologyClass, ModuleElement, Subgroup, as_class
+from .homology import HomologyClass, ModuleElement, Subgroup, as_class, hermite_normal_form
 
 UPPER = "upper"
 LOWER = "lower"
@@ -140,11 +140,25 @@ def casson_homological(
             if lab is not None:
                 raise KeyError(f"no homology class for crossing {lab!r}")
 
+    upper, lower = _subgroup_sums(code, normalized)
+    return ModuleElement(upper), ModuleElement(lower)
+
+
+def _subgroup_sums(
+    code: KnotoidCode, classes: Mapping[str, HomologyClass]
+) -> tuple[dict[Subgroup, int], dict[Subgroup, int]]:
+    """The terms of CH+ and CH-, zero coefficients included, from one sweep.
+
+    ``classes`` must already be tuples of one rank, as ``all_loop_classes``
+    gives them; labels without a class take no part.  ``casson_homological``
+    is this function behind its checks.
+    """
     subgroups: dict[tuple[HomologyClass, HomologyClass], Subgroup] = {}
     terms: dict[str, dict[Subgroup, int]] = {UPPER: {}, LOWER: {}}
-    for (kind, first, second), count in _skew_sums(code, normalized, code.signs).items():
-        if (first, second) not in subgroups:
-            subgroups[first, second] = Subgroup.generated_by(first, second)
-        sub = subgroups[first, second]
-        terms[kind][sub] = terms[kind].get(sub, 0) + count
-    return ModuleElement(terms[UPPER]), ModuleElement(terms[LOWER])
+    for (kind, first, second), count in _skew_sums(code, classes, code.signs).items():
+        sub = subgroups.get((first, second))
+        if sub is None:
+            sub = subgroups[first, second] = Subgroup(len(first), hermite_normal_form((first, second)))
+        side = terms[kind]
+        side[sub] = side.get(sub, 0) + count
+    return terms[UPPER], terms[LOWER]

@@ -20,11 +20,28 @@ from knotoid_casson.codes import (
     Item,
     KnotoidCode,
     concat_product,
+    fresh_labels,
     mirror,
     parse_knotoid_code,
 )
 from knotoid_casson.homology import ModuleElement, Subgroup, as_class
-from knotoid_casson.moves import iter_walk
+from knotoid_casson.moves import (
+    R1_INSERT,
+    R2_DELETE,
+    R2_INSERT,
+    R3,
+    IllegalMoveError,
+    MoveInstance,
+    _adjacent_blocks,
+    _random_candidate,
+    _rewrite,
+    _GROW_WEIGHTS,
+    _MAX_ATTEMPTS,
+    _SHRINK_WEIGHTS,
+    _WALK_KINDS,
+    iter_walk,
+    r1_delete_sites,
+)
 from knotoid_casson.planar import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
@@ -292,3 +309,138 @@ def reference_report(code: KnotoidCode, name: str = "") -> InvariantReport:
         properness=properness_certificate(values, ch_plus, ch_minus),
         diagram_crossings=code.n_crossings,
     )
+
+
+def reference_apply(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
+    """Reference move: rewrite, then rebuild the result's map to test realizability."""
+    result = _rewrite(code, move)
+    try:
+        build_planar_map(result)
+    except NonRealizableError as exc:
+        raise IllegalMoveError(f"{move.kind} result is not spherically realizable") from exc
+    return result
+
+
+def reference_r2_delete_sites(code: KnotoidCode) -> list[MoveInstance]:
+    """Reference bigon sites: every over block against every under block."""
+    over_blocks = _adjacent_blocks(code, OVER, OVER)
+    under_blocks = _adjacent_blocks(code, UNDER, UNDER)
+    out = []
+    for p, x, y in over_blocks:
+        if code.signs[x] != -code.signs[y]:
+            continue
+        for q, u1, u2 in under_blocks:
+            if {u1, u2} != {x, y}:
+                continue
+            out.append(MoveInstance(
+                R2_DELETE, positions=(p, q), labels=(x, y),
+                signs=(code.signs[x],), parallel=(u1 == x),
+            ))
+    return out
+
+
+def reference_r3_sites(code: KnotoidCode) -> list[MoveInstance]:
+    """Reference triangle sites: every over block against every under block."""
+    signs = code.signs
+    over_over = _adjacent_blocks(code, OVER, OVER)
+    under_under = _adjacent_blocks(code, UNDER, UNDER)
+    over_under = {(a, b): p for p, a, b in _adjacent_blocks(code, OVER, UNDER)}
+    under_over = {(a, b): p for p, a, b in _adjacent_blocks(code, UNDER, OVER)}
+    out = []
+    for p1, a, b in over_over:
+        if signs[a] == 1 and signs[b] == -1:
+            for p2, u1, u2 in under_under:
+                if u1 != b or u2 in (a, b) or signs[u2] != 1:
+                    continue
+                p3 = over_under.get((u2, a))
+                if p3 is not None:
+                    out.append(MoveInstance(R3, positions=(p1, p2, p3), labels=(a, b, u2)))
+        if signs[b] == 1 and signs[a] == -1:
+            for p2, u1, u2 in under_under:
+                if u2 != a or u1 in (a, b) or signs[u1] != 1:
+                    continue
+                p3 = under_over.get((b, u1))
+                if p3 is not None:
+                    out.append(MoveInstance(R3, positions=(p1, p2, p3), labels=(b, a, u1)))
+    return out
+
+
+def move_candidates(code: KnotoidCode) -> list[MoveInstance]:
+    """Every deletion and triangle site, then kinks at every gap in both
+    chiralities and signs, then bigons at every gap pair and stacking, parallel
+    and antiparallel, in both signs."""
+    length = len(code.word)
+    x, y = fresh_labels(code, 2)
+    out = r1_delete_sites(code) + reference_r2_delete_sites(code) + reference_r3_sites(code)
+    for gap in range(length + 1):
+        for over_first in (True, False):
+            for sign in (1, -1):
+                out.append(MoveInstance(R1_INSERT, gaps=(gap,), labels=(x,), signs=(sign,),
+                                        over_first=over_first))
+    for g_over in range(length + 1):
+        for g_under in range(length + 1):
+            for over_first in (True, False) if g_over == g_under else (True,):
+                for parallel in (True, False):
+                    for sign in (1, -1):
+                        out.append(MoveInstance(
+                            R2_INSERT, gaps=(g_over, g_under), labels=(x, y), signs=(sign,),
+                            over_first=over_first, parallel=parallel,
+                        ))
+    return out
+
+
+def reference_enumerate_moves(code: KnotoidCode) -> list[MoveInstance]:
+    """Reference enumeration: the generating-variant candidates that ``reference_apply`` takes."""
+    legal = []
+    for move in move_candidates(code):
+        if move.kind == R2_INSERT and not move.parallel:
+            continue
+        try:
+            reference_apply(code, move)
+        except IllegalMoveError:
+            continue
+        legal.append(move)
+    return legal
+
+
+def reference_walk(code: KnotoidCode, steps: int, seed: int, growth_cap: int = 12):
+    """Reference walk: the same seeded candidates, each tried with ``reference_apply``."""
+    rng = random.Random(seed)
+    current = code
+    cap = code.n_crossings + growth_cap
+    for _ in range(steps):
+        weights = _SHRINK_WEIGHTS if current.n_crossings >= cap else _GROW_WEIGHTS
+        for _attempt in range(_MAX_ATTEMPTS):
+            kind = rng.choices(_WALK_KINDS, weights)[0]
+            move = _random_candidate(current, kind, rng)
+            if move is None:
+                continue
+            try:
+                current = reference_apply(current, move)
+            except IllegalMoveError:
+                continue
+            yield move, current
+            break
+
+
+def plant_bigon(code: KnotoidCode, gaps, sign: int, parallel: bool, over_first: bool) -> KnotoidCode:
+    """``code`` with a bigon's blocks inserted at ``gaps``, planar or not."""
+    return _rewrite(code, MoveInstance(
+        R2_INSERT, gaps=tuple(gaps), labels=fresh_labels(code, 2), signs=(sign,),
+        over_first=over_first, parallel=parallel,
+    ))
+
+
+def plant_triangle(code: KnotoidCode, gaps, right: bool) -> KnotoidCode:
+    """``code`` with the three blocks of a triangle site inserted at ``gaps``, planar or not.
+
+    The blocks are (Ox Oy), (Uy Uz), (Oz Ux) for crossings signed (+1, -1, +1),
+    each reversed in the mirror-image arrangement.
+    """
+    x, y, z = fresh_labels(code, 3)
+    blocks = [[Item(OVER, x), Item(OVER, y)], [Item(UNDER, y), Item(UNDER, z)],
+              [Item(OVER, z), Item(UNDER, x)]]
+    word = list(code.word)
+    for gap, block in sorted(zip(gaps, blocks), key=lambda pair: pair[0], reverse=True):
+        word[gap:gap] = block[::-1] if right else block
+    return KnotoidCode(word, {**code.signs, x: 1, y: -1, z: 1})

@@ -63,6 +63,17 @@ def test_bound_minimality(target):
         assert (n - 1) * (n - 1) // 4 < target
 
 
+def test_bound_matches_the_search_below_200000():
+    # the least n with floor(n^2/4) >= t grows with t, so one search serves every t
+    trivial, whole = Subgroup.cyclic(0), Subgroup.cyclic(1)
+    n = 0
+    for t in range(200_000):
+        while n * n // 4 < t:
+            n += 1
+        ch_plus, ch_minus = ModuleElement({trivial: t - t // 2}), ModuleElement({whole: -(t // 2)})
+        assert crossing_lower_bound(ch_plus, ch_minus) == n, t
+
+
 def test_properness_fixture_values():
     assert properness_certificate(CassonValues(1, 0), cyc(1), ModuleElement.zero()) == PROPER_BY_C
     assert properness_certificate(CassonValues(0, 0), ModuleElement.zero(), ModuleElement.zero()) == INCONCLUSIVE
@@ -205,6 +216,13 @@ def test_odd_conjecture_experiment_reports_both_sides():
     assert sides == {"lhs": 1, "rhs": 6, "diagram_crossings": 5}
     virt = odd_conjecture_experiment(full_report(parse_knotoid_code("Oa Ub Ua Ob ; a=+1 b=-1")))
     assert virt["lhs"] is None
+    # a knot-type diagram that no certificate calls proper: lhs exceeds rhs, which
+    # the sharpening, conjectured for proper knotoids only, does not forbid
+    knot_type = full_report(parse_knotoid_code("Oc0 Uc1 Oc2 Uc0 Oc1 Uc2 ; c0=+1 c1=+1 c2=+1"))
+    assert (str(knot_type.ch_plus), str(knot_type.ch_minus)) == ("1*<0>", "1*<0>")
+    assert (knot_type.norm_sum, knot_type.crossing_lower_bound) == (2, 3)
+    assert knot_type.properness == INCONCLUSIVE
+    assert odd_conjecture_experiment(knot_type) == {"lhs": 3, "rhs": 2, "diagram_crossings": 3}
 
 
 @given(code_strategy())

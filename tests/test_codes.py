@@ -1,7 +1,7 @@
 """Gauss-code parsing, serialization, and elementary transforms."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knotoid_casson.analysis import read_code_file
@@ -200,7 +200,11 @@ def test_serialize_switch_all_two_one():
     assert serialize(switch_all(two_one())) == "Ua Ob Oa Ub ; a=+1 b=+1"
 
 
-@given(code_strategy())
+# random words and signs, and realizable products and walks with primed labels
+ANY_CODE = st.one_of(code_strategy(max_crossings=40), realizable_code_strategy(max_crossings=40))
+
+
+@given(ANY_CODE)
 def test_parse_serialize_roundtrip(code):
     assert parse_knotoid_code(serialize(code)) == code
 
@@ -387,3 +391,106 @@ def test_read_code_blocks_names_and_separators():
 def test_read_code_blocks_bad_name_line():
     with pytest.raises(CodeSyntaxError):
         read_code_blocks("name two words\n" + FIVE_NINETEEN_TEXT)
+
+
+# --- property tests up to 40 crossings ----------------------------------------
+
+
+@st.composite
+def multiknotoid_strategy(draw):
+    """The word of a code of at most 40 crossings, cut into a segment and circles."""
+    code = draw(ANY_CODE)
+    cuts = sorted(draw(st.lists(st.integers(0, len(code.word)), max_size=4)))
+    bounds = [0, *cuts, len(code.word)]
+    pieces = [code.word[a:b] for a, b in zip(bounds, bounds[1:])]
+    return MultiKnotoidCode(pieces[0], tuple(pieces[1:]), code.signs)
+
+
+def raised(parse, text):
+    """The type and text of the ``CodeError`` that ``parse(text)`` raises, or None."""
+    try:
+        parse(text)
+    except CodeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def multiknotoid_text(components: list[list[str]], sign_line: str) -> str:
+    lines = ["segment: " + " ".join(components[0])]
+    lines += ["circle: " + " ".join(c) for c in components[1:]]
+    return "\n".join(lines + [sign_line])
+
+
+@given(multiknotoid_strategy())
+def test_multiknotoid_parse_serialize_roundtrip(m):
+    assert parse_multiknotoid_code(serialize(m)) == m
+
+
+@settings(max_examples=40)
+@given(st.lists(st.one_of(ANY_CODE, multiknotoid_strategy()), min_size=1, max_size=4))
+def test_code_file_roundtrip(codes):
+    text = "\n---\n".join(f"name k{i}\n{serialize(code)}" for i, code in enumerate(codes))
+    assert read_code_blocks(text) == [(f"k{i}", code) for i, code in enumerate(codes)]
+
+
+@settings(max_examples=40)
+@given(st.lists(st.one_of(ANY_CODE, multiknotoid_strategy()), min_size=1, max_size=3), st.data())
+def test_non_ascii_anywhere_raises_syntax_error(codes, data):
+    text = "\n---\n".join(serialize(code) for code in codes)
+    at = data.draw(st.integers(0, len(text)))
+    char = data.draw(st.characters(min_codepoint=128, blacklist_categories=("Cs",)))
+    bad = text[:at] + char + text[at:]
+    for parse in (parse_knotoid_code, parse_multiknotoid_code, read_code_blocks):
+        assert raised(parse, bad) == (CodeSyntaxError, "code text must be ASCII")
+
+
+@given(ANY_CODE.filter(lambda code: code.word), st.data())
+def test_duplicate_label_raises_validation_error(code, data):
+    items, signs = serialize(code).split(" ; ")
+    items = items.split()
+    token = data.draw(st.sampled_from(items))
+    items.insert(data.draw(st.integers(0, len(items))), token)
+    text = " ".join(items) + " ; " + signs
+    message = f"label {token[1:]!r} must occur exactly twice, once over and once under"
+    assert raised(parse_knotoid_code, text) == (CodeValidationError, message)
+    assert raised(read_code_blocks, text) == (CodeValidationError, "block 0: " + message)
+
+
+@given(multiknotoid_strategy().filter(lambda m: m.signs), st.data())
+def test_multiknotoid_duplicate_label_raises_validation_error(m, data):
+    components = [[str(it) for it in part] for part in (m.segment, *m.circles)]
+    token = data.draw(st.sampled_from([t for part in components for t in part]))
+    target = data.draw(st.sampled_from(components))
+    target.insert(data.draw(st.integers(0, len(target))), token)
+    text = multiknotoid_text(components, serialize(m).split("\n")[-1])
+    message = f"label {token[1:]!r} must occur exactly twice, once over and once under"
+    assert raised(parse_multiknotoid_code, text) == (CodeValidationError, message)
+    assert raised(read_code_blocks, text) == (CodeValidationError, "block 0: " + message)
+
+
+@given(st.one_of(ANY_CODE, multiknotoid_strategy()).filter(lambda code: code.signs), st.data())
+def test_duplicate_sign_raises_validation_error(code, data):
+    head, signs = serialize(code).rsplit(";", 1)
+    signs = signs.split()
+    label = data.draw(st.sampled_from(code.labels))
+    signs.insert(data.draw(st.integers(0, len(signs))), f"{label}={data.draw(st.sampled_from(('+1', '-1')))}")
+    text = head + "; " + " ".join(signs)
+    message = f"duplicate sign for label {label!r}"
+    parse = parse_multiknotoid_code if isinstance(code, MultiKnotoidCode) else parse_knotoid_code
+    assert raised(parse, text) == (CodeValidationError, message)
+    assert raised(read_code_blocks, text) == (CodeValidationError, "block 0: " + message)
+
+
+@given(st.one_of(ANY_CODE, multiknotoid_strategy()).filter(lambda code: code.signs), st.data())
+def test_truncated_line_raises_validation_error(code, data):
+    # a line cut after any of its tokens loses a pass or a sign, never its form
+    lines = serialize(code).split("\n")
+    cuttable = [i for i, line in enumerate(lines) if len(line.split()) > 1]
+    assume(cuttable)
+    i = data.draw(st.sampled_from(cuttable))
+    tokens = lines[i].split()
+    lines[i] = " ".join(tokens[:data.draw(st.integers(1, len(tokens) - 1))])
+    text = "\n".join(lines)
+    parse = parse_multiknotoid_code if isinstance(code, MultiKnotoidCode) else parse_knotoid_code
+    assert raised(parse, text)[0] is CodeValidationError
+    assert raised(read_code_blocks, text)[0] is CodeValidationError

@@ -1,11 +1,15 @@
 """Move rewriting: site detection, application, inverses, invariance, walks."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knotoid_casson.analysis import full_report
-from knotoid_casson.codes import parse_knotoid_code, serialize
+from knotoid_casson import moves, planar
+from knotoid_casson.analysis import full_report, generate_family
+from knotoid_casson.codes import OVER, UNDER, Item, KnotoidCode, concat_product, parse_knotoid_code, serialize
 from knotoid_casson.moves import (
     IllegalMoveError,
     MoveInstance,
@@ -24,7 +28,22 @@ from knotoid_casson.moves import (
     random_walk,
 )
 from knotoid_casson.skew import casson_pm
-from support import named_fixtures, two_one
+from support import (
+    code_strategy,
+    move_candidates,
+    named_fixtures,
+    plant_bigon,
+    plant_triangle,
+    random_code,
+    random_realizable_code,
+    realizable_code_strategy,
+    reference_apply,
+    reference_enumerate_moves,
+    reference_r2_delete_sites,
+    reference_r3_sites,
+    reference_walk,
+    two_one,
+)
 
 
 def invariant_row(code, name=""):
@@ -211,3 +230,121 @@ def test_random_walk_on_random_realizable_codes():
         base = invariant_row(code)
         for _move, current in iter_walk(code, 15, seed=rng.randrange(10**6)):
             assert invariant_row(current) == base
+
+
+# --- legality from faces against generate-and-test -----------------------------
+
+
+def every_code(n):
+    """Every code of n crossings up to relabeling (labels in order of first occurrence)."""
+    labels = [f"c{i}" for i in range(n)]
+    items = [Item(kind, lab) for lab in labels for kind in (OVER, UNDER)]
+    for word in itertools.permutations(items):
+        if list(dict.fromkeys(it.label for it in word)) != labels:
+            continue
+        for signs in itertools.product((1, -1), repeat=n):
+            yield KnotoidCode(word, dict(zip(labels, signs)))
+
+
+def outcome(fn, code, move):
+    """``(None, result)``, or the type and text of what ``fn`` raised."""
+    try:
+        return None, fn(code, move)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_apply_matches_generate_and_test_on_every_code_up_to_3(n):
+    for code in every_code(n):
+        assert r2_delete_sites(code) == reference_r2_delete_sites(code)
+        assert r3_sites(code) == reference_r3_sites(code)
+        candidates = move_candidates(code)
+        expected = [outcome(reference_apply, code, move) for move in candidates]
+        assert [outcome(apply, code, move) for move in candidates] == expected, serialize(code)
+        legal = [
+            move for move, (raised, _) in zip(candidates, expected)
+            if raised is None and (move.kind != R2_INSERT or move.parallel)
+        ]
+        assert enumerate_moves(code) == legal, serialize(code)
+
+
+@st.composite
+def code_with_sites(draw):
+    """A realizable or virtual code of at most 40 crossings, sometimes with a
+    bigon or a triangle planted without any legality check."""
+    code = draw(st.one_of(realizable_code_strategy(max_crossings=34), code_strategy(max_crossings=34)))
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(0, 2))):
+        gaps = [rng.randrange(len(code.word) + 1) for _ in range(3)]
+        if rng.random() < 0.5:
+            code = plant_bigon(code, gaps[:2], rng.choice((1, -1)), rng.random() < 0.5, rng.random() < 0.5)
+        else:
+            code = plant_triangle(code, gaps, rng.random() < 0.5)
+    return code
+
+
+@settings(max_examples=60, deadline=None)
+@given(code_with_sites(), st.data())
+def test_apply_matches_generate_and_test_up_to_40(code, data):
+    candidates = move_candidates(code)
+    sites = [move for move in candidates if move.kind in (R1_DELETE, R2_DELETE, R3)]
+    for move in sites + data.draw(st.lists(st.sampled_from(candidates), max_size=60)):
+        assert outcome(apply, code, move) == outcome(reference_apply, code, move), move
+
+
+@settings(max_examples=80, deadline=None)
+@given(code_with_sites())
+def test_site_detection_matches_reference_up_to_40(code):
+    assert r2_delete_sites(code) == reference_r2_delete_sites(code)
+    assert r3_sites(code) == reference_r3_sites(code)
+
+
+@settings(max_examples=25, deadline=None)
+@given(code_with_sites().filter(lambda code: code.n_crossings <= 10))
+def test_enumerate_moves_matches_reference(code):
+    assert enumerate_moves(code) == reference_enumerate_moves(code)
+
+
+def test_enumerate_moves_matches_reference_at_32_crossings():
+    code = concat_product(generate_family(8), generate_family(8))
+    assert enumerate_moves(code) == reference_enumerate_moves(code)
+
+
+def test_walks_match_reference_walk():
+    rng = random.Random(20000)
+    fixtures = list(named_fixtures().values())
+    for seed in range(20000, 20200):
+        if seed % 4 == 0:
+            code = fixtures[seed // 4 % len(fixtures)]
+        elif seed % 4 == 3:
+            # often virtual, with a bigon whose deletion may make it realizable
+            code = random_code(rng, rng.randint(1, 6))
+            gaps = [rng.randrange(len(code.word) + 1) for _ in range(2)]
+            code = plant_bigon(code, gaps, rng.choice((1, -1)), rng.random() < 0.5, True)
+        else:
+            code = random_realizable_code(rng, rng.randint(1, 6))
+        assert list(iter_walk(code, 30, seed)) == list(reference_walk(code, 30, seed)), seed
+
+
+def test_moves_trace_the_faces_of_the_moved_code_once(monkeypatch):
+    traced, rewrites = [], []
+    trace_faces, rewrite = planar.trace_faces, moves._rewrite
+    monkeypatch.setattr(moves, "trace_faces", lambda code: traced.append(code) or trace_faces(code))
+    monkeypatch.setattr(moves, "_rewrite", lambda code, move: rewrites.append(move) or rewrite(code, move))
+    code = named_fixtures()["4_6"]
+    legal = enumerate_moves(code)
+    assert traced == [code]
+    for move in legal:
+        traced.clear()
+        apply(code, move)
+        assert traced == [code]
+    # a walk traces each code it reaches at most once and rewrites only performed steps
+    traced.clear()
+    rewrites.clear()
+    walk = list(iter_walk(code, 200, seed=5))
+    reached = [code] + [current for _, current in walk]
+    assert [move for move, _ in walk] == rewrites
+    assert len(traced) <= len(reached)
+    assert all(any(t is c for c in reached) for t in traced)
+    assert len({id(t) for t in traced}) == len(traced)
