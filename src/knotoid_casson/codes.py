@@ -101,7 +101,7 @@ def _check_passes(
             detail.append(f"signs for absent labels {sorted(extra)}")
         raise CodeValidationError("; ".join(detail))
     for lab, s in signs.items():
-        if s not in (1, -1):
+        if type(s) is not int or s not in (1, -1):  # 1.0 and True compare equal to 1
             raise CodeValidationError(f"sign of {lab!r} must be +1 or -1, got {s!r}")
     labels = tuple(first)
     # sized from lists: a tuple grown from an iterator is resized, and every

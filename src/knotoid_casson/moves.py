@@ -11,6 +11,9 @@ Moves act on the Gauss word:
   blocks (Ox Oy / Uy Uz / Oz Ux, or the mirror-image arrangement), for
   crossings signed (+1, -1, +1).
 
+A valid site is a deletion or triangle site that its finder
+(``r1_delete_sites``, ``r2_delete_sites``, ``r3_sites``) lists for the
+code, field for field, or an insertion at gaps in range with fresh labels.
 A rewrite at a valid site is a move exactly when its result is spherically
 realizable.  Pushing strands over the endpoints cannot arise at the word
 level; insertions at the extreme gaps stay legal because they happen in a
@@ -76,7 +79,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .codes import OVER, UNDER, Item, KnotoidCode, fresh_labels
-from .planar import trace_faces
+from .planar import PlanarMap, trace_faces
 
 R1_INSERT = "R1Insert"
 R1_DELETE = "R1Delete"
@@ -86,7 +89,7 @@ R3 = "R3"
 
 
 class IllegalMoveError(Exception):
-    """Pattern absent at the stated site, or the rewrite is not planar."""
+    """The move is not at a valid site, or its rewrite is not planar."""
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,8 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
+    """The word rewrite of ``move``.  Insertions are checked here (gaps in
+    range, fresh labels); a deletion or triangle must be a listed site."""
     word = list(code.word)
     signs = dict(code.signs)
     length = len(word)
@@ -128,17 +133,6 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
             pair.reverse()
         word[gap:gap] = pair
         signs[label] = move.signs[0]
-
-    elif move.kind == R1_DELETE:
-        (pos,) = move.positions
-        (label,) = move.labels
-        _require(0 <= pos < length - 1, f"position {pos} out of range")
-        a, b = word[pos], word[pos + 1]
-        _require(a.label == label and b.label == label, "no kink at site")
-        _require((a.kind == OVER) == move.over_first, "kink chirality mismatch")
-        _require(signs[label] == move.signs[0], "kink sign mismatch")
-        del word[pos:pos + 2]
-        del signs[label]
 
     elif move.kind == R2_INSERT:
         g_over, g_under = move.gaps
@@ -162,48 +156,15 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
         signs[x] = sx
         signs[y] = -sx
 
-    elif move.kind == R2_DELETE:
-        p_over, p_under = move.positions
-        x, y = move.labels
-        _require(0 <= p_over < length - 1 and 0 <= p_under < length - 1, "position out of range")
-        _require(
-            word[p_over] == Item(OVER, x) and word[p_over + 1] == Item(OVER, y),
-            "no over block at site",
-        )
-        expected = (Item(UNDER, x), Item(UNDER, y)) if move.parallel else (Item(UNDER, y), Item(UNDER, x))
-        _require(
-            (word[p_under], word[p_under + 1]) == expected,
-            "no matching under block at site",
-        )
-        _require(signs[x] == -signs[y], "bigon crossings must have opposite signs")
-        _require(signs[x] == move.signs[0], "bigon sign mismatch")
-        for pos in sorted((p_over, p_over + 1, p_under, p_under + 1), reverse=True):
-            del word[pos]
-        del signs[x]
-        del signs[y]
+    elif move.kind in (R1_DELETE, R2_DELETE):
+        # the blocks of a site never overlap, so deleting the later one first keeps the other's position
+        for p in sorted(move.positions, reverse=True):
+            del word[p:p + 2]
+        for label in move.labels:
+            del signs[label]
 
     elif move.kind == R3:
-        p1, p2, p3 = move.positions
-        x, y, z = move.labels
-        for p in (p1, p2, p3):
-            _require(0 <= p < length - 1, f"position {p} out of range")
-        _require(
-            signs.get(x) == 1 and signs.get(y) == -1 and signs.get(z) == 1,
-            "triangle sign pattern mismatch",
-        )
-        at = lambda p: (word[p], word[p + 1])
-        left = (
-            at(p1) == (Item(OVER, x), Item(OVER, y))
-            and at(p2) == (Item(UNDER, y), Item(UNDER, z))
-            and at(p3) == (Item(OVER, z), Item(UNDER, x))
-        )
-        right = (
-            at(p1) == (Item(OVER, y), Item(OVER, x))
-            and at(p2) == (Item(UNDER, z), Item(UNDER, y))
-            and at(p3) == (Item(UNDER, x), Item(OVER, z))
-        )
-        _require(left or right, "no triangle at site")
-        for p in (p1, p2, p3):
+        for p in move.positions:
             word[p], word[p + 1] = word[p + 1], word[p]
 
     else:
@@ -218,17 +179,15 @@ def _bigon_sides(sign: int, parallel: bool) -> tuple[int, int]:
     return int((sign > 0) == parallel), int(sign < 0)
 
 
-def _is_legal(
-    code: KnotoidCode, faces: tuple[list[int], list[tuple[int, ...]]], move: MoveInstance
-) -> bool:
+def _is_legal(pmap: PlanarMap, move: MoveInstance) -> bool:
     """Whether the rewrite of a valid site has a spherical result.
 
-    ``faces`` is ``trace_faces(code)``.  The result has n' + 1 faces exactly
-    when it is realizable, and its face count follows from the faces of
-    ``code`` by the rules of the module docstring.
+    ``pmap`` is ``trace_faces`` of the code being moved, the face record of
+    any code, realizable or not.  The result has n' + 1 faces exactly when it
+    is realizable, and its face count follows from the faces of the code by
+    the rules of the module docstring.
     """
-    dart_face, orbits = faces
-    count, n = len(orbits), code.n_crossings
+    dart_face, count, n = pmap.dart_face, pmap.num_faces, pmap.code.n_crossings
     if move.kind == R2_INSERT:
         (g_over, g_under), (s_over, s_under) = move.gaps, _bigon_sides(move.signs[0], move.parallel)
         return count == n + 1 and dart_face[2 * g_over + s_over] == dart_face[2 * g_under + s_under]
@@ -242,9 +201,14 @@ def _is_legal(
 
 
 def apply(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
-    """Apply a move; the site is validated and legality read off the faces of ``code``."""
+    """Apply a move at a valid site; legality is read off the faces of ``code``."""
+    finder = _SITES.get(move.kind)
+    if finder is not None and move not in finder(code):
+        raise IllegalMoveError(
+            f"no {move.kind} site at positions {move.positions} with labels {move.labels}"
+        )
     result = _rewrite(code, move)
-    if not _is_legal(code, trace_faces(code), move):
+    if not _is_legal(trace_faces(code), move):
         raise IllegalMoveError(f"{move.kind} result is not spherically realizable")
     return result
 
@@ -351,6 +315,10 @@ def r3_sites(code: KnotoidCode) -> list[MoveInstance]:
     return out
 
 
+# the finder of each kind of site; a deletion or triangle is valid exactly when listed
+_SITES = {R1_DELETE: r1_delete_sites, R2_DELETE: r2_delete_sites, R3: r3_sites}
+
+
 def enumerate_moves(code: KnotoidCode) -> list[MoveInstance]:
     """All legal deletion and triangle sites plus legal insertions, from one face tracing.
 
@@ -360,14 +328,11 @@ def enumerate_moves(code: KnotoidCode) -> list[MoveInstance]:
     every kink, and the bigons whose sides share a face, found per gap from
     the edges bordering that face: O(n + output).
     """
-    faces = trace_faces(code)
-    legal = [
-        move for move in r1_delete_sites(code) + r2_delete_sites(code) + r3_sites(code)
-        if _is_legal(code, faces, move)
-    ]
-    dart_face, orbits = faces
-    if len(orbits) != code.n_crossings + 1:
+    pmap = trace_faces(code)
+    legal = [move for find in _SITES.values() for move in find(code) if _is_legal(pmap, move)]
+    if pmap.num_faces != code.n_crossings + 1:
         return legal
+    dart_face = pmap.dart_face
     gaps = range(len(code.word) + 1)
     x, y = fresh_labels(code, 2)
     for gap in gaps:
@@ -423,11 +388,7 @@ def _random_candidate(code: KnotoidCode, kind: str, rng: random.Random) -> MoveI
             labels=labels, signs=(rng.choice((1, -1)),),
             over_first=rng.random() < 0.5,
         )
-    sites = {
-        R1_DELETE: r1_delete_sites,
-        R2_DELETE: r2_delete_sites,
-        R3: r3_sites,
-    }[kind](code)
+    sites = _SITES[kind](code)
     return rng.choice(sites) if sites else None
 
 
@@ -447,8 +408,8 @@ def iter_walk(
     cap = code.n_crossings + growth_cap
     # every performed step reaches a realizable code, where every valid kink,
     # bigon deletion and triangle site is a move
-    faces = trace_faces(code)
-    realizable = len(faces[1]) == code.n_crossings + 1
+    pmap = trace_faces(code)
+    realizable = pmap.num_faces == code.n_crossings + 1
     for _ in range(steps):
         weights = _SHRINK_WEIGHTS if current.n_crossings >= cap else _GROW_WEIGHTS
         for _attempt in range(_MAX_ATTEMPTS):
@@ -457,12 +418,12 @@ def iter_walk(
             if move is None:
                 continue
             if kind == R2_INSERT or not realizable:
-                if faces is None:
-                    faces = trace_faces(current)
-                if not _is_legal(current, faces, move):
+                if pmap is None:
+                    pmap = trace_faces(current)
+                if not _is_legal(pmap, move):
                     continue
             current = _rewrite(current, move)
-            faces, realizable = None, True
+            pmap, realizable = None, True
             yield move, current
             break
     return

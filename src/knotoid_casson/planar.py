@@ -62,7 +62,8 @@ class DualArc:
 
 @dataclass(frozen=True, eq=False)
 class PlanarMap:
-    """Faces and side labels of a realizable knotoid code."""
+    """The face record of any knotoid code, realizable or not: the faces
+    (dart orbits), the face of every dart, and the faces at the endpoints."""
 
     code: KnotoidCode
     faces: tuple[tuple[int, ...], ...]
@@ -92,11 +93,9 @@ class PlanarMap:
         return self.num_vertices - self.num_edges + self.num_faces
 
 
-def trace_faces(code: KnotoidCode) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The face of every dart and the faces (dart orbits) of the rotation
-    system forced by the signs, realizable or not."""
-    length = len(code.word)
-    num_edges = length + 1
+def trace_faces(code: KnotoidCode) -> PlanarMap:
+    """Trace the rotation system forced by the signs, realizable or not."""
+    num_edges = len(code.word) + 1
     prev_ccw = list(range(2 * num_edges))  # an endpoint's one dart precedes itself
     signs = code.signs
     for label, over, under in zip(code.labels, code.over_pos, code.under_pos):
@@ -122,19 +121,6 @@ def trace_faces(code: KnotoidCode) -> tuple[list[int], list[tuple[int, ...]]]:
             orbit.append(d)
             d = prev_ccw[d ^ 1]
         faces.append(tuple(orbit))
-    return dart_face, faces
-
-
-def build_planar_map(code: KnotoidCode) -> PlanarMap:
-    """Trace the rotation system forced by the signs; raise if not spherical."""
-    dart_face, faces = trace_faces(code)
-    num_edges = len(code.word) + 1
-    euler = (code.n_crossings + 2) - num_edges + len(faces)
-    if euler != 2:
-        raise NonRealizableError(
-            f"code has no spherical diagram (Euler characteristic {euler})",
-            genus=(2 - euler) // 2,
-        )
     # the endpoints' single darts: forward dart of edge 0, backward dart of the last edge
     return PlanarMap(
         code=code,
@@ -143,6 +129,18 @@ def build_planar_map(code: KnotoidCode) -> PlanarMap:
         leg_face=dart_face[0],
         head_face=dart_face[2 * num_edges - 1],
     )
+
+
+def build_planar_map(code: KnotoidCode) -> PlanarMap:
+    """The traced map of a code; raise if it is not spherical."""
+    pmap = trace_faces(code)
+    euler = pmap.euler_characteristic()
+    if euler != 2:
+        raise NonRealizableError(
+            f"code has no spherical diagram (Euler characteristic {euler})",
+            genus=(2 - euler) // 2,
+        )
+    return pmap
 
 
 def dual_arc(pmap: PlanarMap) -> DualArc:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from knotoid_casson.codes import (
 )
 from knotoid_casson.homology import ModuleElement, Subgroup, as_class
 from knotoid_casson.moves import (
+    R1_DELETE,
     R1_INSERT,
     R2_DELETE,
     R2_INSERT,
@@ -40,7 +42,6 @@ from knotoid_casson.moves import (
     _SHRINK_WEIGHTS,
     _WALK_KINDS,
     iter_walk,
-    r1_delete_sites,
 )
 from knotoid_casson.planar import (
     LEFT_TO_RIGHT,
@@ -311,16 +312,6 @@ def reference_report(code: KnotoidCode, name: str = "") -> InvariantReport:
     )
 
 
-def reference_apply(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
-    """Reference move: rewrite, then rebuild the result's map to test realizability."""
-    result = _rewrite(code, move)
-    try:
-        build_planar_map(result)
-    except NonRealizableError as exc:
-        raise IllegalMoveError(f"{move.kind} result is not spherically realizable") from exc
-    return result
-
-
 def reference_r2_delete_sites(code: KnotoidCode) -> list[MoveInstance]:
     """Reference bigon sites: every over block against every under block."""
     over_blocks = _adjacent_blocks(code, OVER, OVER)
@@ -365,13 +356,63 @@ def reference_r3_sites(code: KnotoidCode) -> list[MoveInstance]:
     return out
 
 
+def reference_r1_delete_sites(code: KnotoidCode) -> list[MoveInstance]:
+    """Reference kink sites: every crossing whose two passes are adjacent."""
+    return [
+        MoveInstance(R1_DELETE, positions=(min(o, u),), labels=(lab,), signs=(code.signs[lab],),
+                     over_first=o < u)
+        for lab, o, u in zip(code.labels, code.over_pos, code.under_pos) if abs(o - u) == 1
+    ]
+
+
+REFERENCE_SITES = {R1_DELETE: reference_r1_delete_sites, R2_DELETE: reference_r2_delete_sites,
+                   R3: reference_r3_sites}
+
+
+def reference_apply(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
+    """Reference move: a deletion or triangle must be a site the reference
+    finders list; rewrite, then rebuild the result's map to test realizability."""
+    find = REFERENCE_SITES.get(move.kind)
+    if find is not None and move not in find(code):
+        raise IllegalMoveError(
+            f"no {move.kind} site at positions {move.positions} with labels {move.labels}"
+        )
+    result = _rewrite(code, move)
+    try:
+        build_planar_map(result)
+    except NonRealizableError as exc:
+        raise IllegalMoveError(f"{move.kind} result is not spherically realizable") from exc
+    return result
+
+
+def site_mutations(code: KnotoidCode, move: MoveInstance, rng: random.Random) -> list[MoveInstance]:
+    """``move`` with one field changed: a position moved by one or to a random
+    index, the labels reversed or one replaced, the sign flipped (a sign pattern
+    given to a triangle), ``over_first`` or ``parallel`` flipped, gaps given."""
+    length = len(code.word)
+    out = []
+    for i, p in enumerate(move.positions):
+        for q in (p - 1, p + 1, rng.randrange(-1, length + 1)):
+            out.append(replace(move, positions=move.positions[:i] + (q,) + move.positions[i + 1:]))
+    out.append(replace(move, labels=move.labels[::-1]))
+    others = list(code.labels) + list(fresh_labels(code, 1))
+    for i in range(len(move.labels)):
+        other = rng.choice(others)
+        out.append(replace(move, labels=move.labels[:i] + (other,) + move.labels[i + 1:]))
+    out.append(replace(move, signs=tuple(-s for s in move.signs) or (1, -1, 1)))
+    out.append(replace(move, over_first=not move.over_first))
+    out.append(replace(move, parallel=not move.parallel))
+    out.append(replace(move, gaps=move.positions[:1]))
+    return [m for m in out if m != move]
+
+
 def move_candidates(code: KnotoidCode) -> list[MoveInstance]:
     """Every deletion and triangle site, then kinks at every gap in both
     chiralities and signs, then bigons at every gap pair and stacking, parallel
     and antiparallel, in both signs."""
     length = len(code.word)
     x, y = fresh_labels(code, 2)
-    out = r1_delete_sites(code) + reference_r2_delete_sites(code) + reference_r3_sites(code)
+    out = [move for find in REFERENCE_SITES.values() for move in find(code)]
     for gap in range(length + 1):
         for over_first in (True, False):
             for sign in (1, -1):

@@ -7,9 +7,9 @@ import pytest
 from knotoid_casson import cli
 from knotoid_casson.analysis import generate_family
 from knotoid_casson.cli import main
-from knotoid_casson.codes import serialize
-from knotoid_casson.moves import iter_walk
-from support import FIVE_NINETEEN_TEXT, FOUR_SIX_TEXT, TWO_ONE_TEXT, five_nineteen
+from knotoid_casson.codes import serialize, switch_all
+from knotoid_casson.moves import R1_INSERT, MoveInstance, iter_walk
+from support import FIVE_NINETEEN_TEXT, FOUR_SIX_TEXT, TWO_ONE_TEXT, five_nineteen, two_one
 
 
 @pytest.fixture
@@ -99,6 +99,22 @@ def test_compute_directory_as_file_exit_1(tmp_path, capsys):
     assert err.startswith("error: ") and str(tmp_path) in err
 
 
+def test_compute_multiknotoid_block_exit_1(tmp_path, capsys):
+    path = tmp_path / "mixed.knd"
+    path.write_text(TWO_ONE_TEXT + "\n---\nsegment: Ob\ncircle: Ub\n; b=+1\n")
+    assert main(["compute", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: block 1 is a multi-knotoid; a knotoid code is required\n"
+    )
+
+
+def test_compute_separator_only_file_exit_1(tmp_path, capsys):
+    path = tmp_path / "empty.knd"
+    path.write_text("---\n")
+    assert main(["compute", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: no code blocks found\n"
+
+
 def test_skein_single_crossing(two_one_file, capsys):
     assert main(["skein", two_one_file, "--crossing", "a"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -155,6 +171,21 @@ def test_check_moves_ok(two_one_file, capsys):
 def test_check_moves_virtual_exit_1(virtual_file, capsys):
     assert main(["check-moves", virtual_file, "--steps", "2", "--trials", "1"]) == 1
     assert capsys.readouterr().err == "error: virtual: move checking requires a realizable code\n"
+
+
+def test_check_moves_failure_prints_the_steps_and_exits_2(two_one_file, monkeypatch, capsys):
+    move = MoveInstance(R1_INSERT, gaps=(0,), labels=("k",), signs=(1,))
+
+    def changing_walk(code, steps, seed):
+        yield move, switch_all(code)
+
+    monkeypatch.setattr(cli, "iter_walk", changing_walk)
+    assert main(["check-moves", two_one_file, "--steps", "1", "--trials", "2", "--seed", "4"]) == 2
+    switched = serialize(switch_all(two_one()))
+    assert capsys.readouterr().out == (
+        "FAIL 2_1: invariants changed (seed 4)\n"
+        f"  step 0: R1Insert gaps=(0,) positions=() labels=('k',) -> {switched}\n"
+    )
 
 
 def test_batch_and_catalog_summary(tmp_path, capsys):

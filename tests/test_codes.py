@@ -316,6 +316,18 @@ def test_multiknotoid_label_split_invariant():
         MultiKnotoidCode((Item(OVER, "a"),), ((Item(OVER, "a"),),), {"a": 1})
 
 
+@pytest.mark.parametrize("sign", [1.0, True, -1.0, 2, "1", None])
+def test_signs_must_be_the_ints_plus_and_minus_one(sign):
+    message = f"sign of 'a' must be +1 or -1, got {sign!r}"
+    word = two_one().word
+    with pytest.raises(CodeValidationError) as exc:
+        KnotoidCode(word, {"a": sign, "b": 1})
+    assert str(exc.value) == message
+    with pytest.raises(CodeValidationError) as exc:
+        MultiKnotoidCode(word, (), {"a": sign, "b": 1})
+    assert str(exc.value) == message
+
+
 def test_multiknotoid_circle_compared_cyclically():
     m1 = parse_multiknotoid_code("segment:\ncircle: Oa Ub Ua Ob\n; a=+1 b=+1")
     m2 = parse_multiknotoid_code("segment:\ncircle: Ua Ob Oa Ub\n; a=+1 b=+1")

@@ -1,5 +1,6 @@
 """Move rewriting: site detection, application, inverses, invariance, walks."""
 
+import dataclasses
 import itertools
 import random
 
@@ -39,9 +40,11 @@ from support import (
     realizable_code_strategy,
     reference_apply,
     reference_enumerate_moves,
+    reference_r1_delete_sites,
     reference_r2_delete_sites,
     reference_r3_sites,
     reference_walk,
+    site_mutations,
     two_one,
 )
 
@@ -123,9 +126,15 @@ def test_apply_validates_sites():
                                  signs=(1,), over_first=True))
     with pytest.raises(IllegalMoveError):
         apply(code, MoveInstance(R1_INSERT, gaps=(0,), labels=("a",), signs=(1,)))
-    with pytest.raises(IllegalMoveError):
+    with pytest.raises(IllegalMoveError) as exc:
         apply(code, MoveInstance(R2_DELETE, positions=(0, 2), labels=("a", "b"),
                                  signs=(1,)))
+    assert str(exc.value) == "no R2Delete site at positions (0, 2) with labels ('a', 'b')"
+    # a site is accepted only as listed, even in a field its kind ignores
+    tri = parse_knotoid_code("Oz Ux Uy Uz Ox Oy ; x=+1 y=-1 z=+1")
+    (site,) = r3_sites(tri)
+    with pytest.raises(IllegalMoveError):
+        apply(tri, dataclasses.replace(site, signs=(1, -1, 1)))
 
 
 def test_r3_swap_and_involution():
@@ -254,19 +263,61 @@ def outcome(fn, code, move):
         return type(exc), str(exc)
 
 
+SITE_KINDS = (R1_DELETE, R2_DELETE, R3)
+
+
+def site_mutants(code, sites, rng):
+    """Every single-field mutation of every site in ``sites``."""
+    return [mutant for move in sites for mutant in site_mutations(code, move, rng)]
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_apply_matches_generate_and_test_on_every_code_up_to_3(n):
+    rng = random.Random(n)
     for code in every_code(n):
+        assert r1_delete_sites(code) == reference_r1_delete_sites(code)
         assert r2_delete_sites(code) == reference_r2_delete_sites(code)
         assert r3_sites(code) == reference_r3_sites(code)
         candidates = move_candidates(code)
         expected = [outcome(reference_apply, code, move) for move in candidates]
         assert [outcome(apply, code, move) for move in candidates] == expected, serialize(code)
+        sites = [move for move in candidates if move.kind in SITE_KINDS]
+        for move in site_mutants(code, sites, rng):
+            assert outcome(apply, code, move) == outcome(reference_apply, code, move), move
         legal = [
             move for move, (raised, _) in zip(candidates, expected)
             if raised is None and (move.kind != R2_INSERT or move.parallel)
         ]
         assert enumerate_moves(code) == legal, serialize(code)
+
+
+def assert_moves_invert(code, listed):
+    """Each listed move, deletions included, is undone by its inverse.
+
+    On a virtual code only bigon deletions are listed, each reaching a
+    realizable code; there the inverse rewrite restores the code but, its
+    result being virtual, is not a move.
+    """
+    realizable = planar.trace_faces(code).euler_characteristic() == 2
+    for move in listed:
+        stepped = apply(code, move)
+        if realizable:
+            assert apply(stepped, inverse_move(move)) == code, move
+        else:
+            assert move.kind == R2_DELETE
+            with pytest.raises(IllegalMoveError):
+                apply(stepped, inverse_move(move))
+            assert moves._rewrite(stepped, inverse_move(move)) == code, move
+
+
+def test_enumerated_moves_invert_on_every_code_up_to_3():
+    kinds = set()
+    for n in range(4):
+        for code in every_code(n):
+            listed = enumerate_moves(code)
+            assert_moves_invert(code, listed)
+            kinds.update(move.kind for move in listed)
+    assert kinds == {R1_INSERT, R1_DELETE, R2_INSERT, R2_DELETE, R3}
 
 
 @st.composite
@@ -288,14 +339,28 @@ def code_with_sites(draw):
 @given(code_with_sites(), st.data())
 def test_apply_matches_generate_and_test_up_to_40(code, data):
     candidates = move_candidates(code)
-    sites = [move for move in candidates if move.kind in (R1_DELETE, R2_DELETE, R3)]
-    for move in sites + data.draw(st.lists(st.sampled_from(candidates), max_size=60)):
+    rng = data.draw(st.randoms(use_true_random=False))
+    sites = [move for move in candidates if move.kind in SITE_KINDS]
+    tried = sites + site_mutants(code, sites, rng)
+    for move in tried + data.draw(st.lists(st.sampled_from(candidates), max_size=60)):
         assert outcome(apply, code, move) == outcome(reference_apply, code, move), move
+
+
+@settings(max_examples=30, deadline=None)
+@given(code_with_sites(), st.data())
+def test_enumerated_moves_invert_up_to_40(code, data):
+    listed = enumerate_moves(code)
+    tried = [move for move in listed if move.kind in SITE_KINDS]
+    insertions = [move for move in listed if move.kind not in SITE_KINDS]
+    if insertions:
+        tried += data.draw(st.lists(st.sampled_from(insertions), max_size=40))
+    assert_moves_invert(code, tried)
 
 
 @settings(max_examples=80, deadline=None)
 @given(code_with_sites())
 def test_site_detection_matches_reference_up_to_40(code):
+    assert r1_delete_sites(code) == reference_r1_delete_sites(code)
     assert r2_delete_sites(code) == reference_r2_delete_sites(code)
     assert r3_sites(code) == reference_r3_sites(code)
 
