@@ -11,8 +11,8 @@ Subcommands (long-form flags only):
     bound FILE [--odd-conjecture]  crossing-number lower bound
     catalog-summary DIR            print the summary table for a catalog
 
-Exit status: 0 on success, 1 on validation errors in the input, 2 on
-internal failures (including an invariance violation found by
+Exit status: 0 on success, 1 on invalid input or an OS error on a file it
+names, 2 on internal failures (including an invariance violation found by
 check-moves, which would be a library bug).
 """
 
@@ -191,9 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CodeError, NonRealizableError, FileNotFoundError, IsADirectoryError, NotADirectoryError
-    ) as exc:
+    except (CodeError, NonRealizableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path

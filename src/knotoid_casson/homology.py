@@ -69,9 +69,9 @@ def hermite_normal_form(rows: Iterable[Iterable[int]]) -> tuple[HomologyClass, .
     return tuple(tuple(r) for r in mat[:top])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Subgroup:
-    """A subgroup of Z^k in canonical (HNF) form; hashable basis element of M."""
+    """A subgroup of Z^k in canonical (HNF) form, ordered by (rank, basis); a basis element of M."""
 
     ambient_rank: int
     basis: tuple[HomologyClass, ...]
@@ -94,9 +94,6 @@ class Subgroup:
     @property
     def is_trivial(self) -> bool:
         return not self.basis
-
-    def sort_key(self) -> tuple:
-        return (self.ambient_rank, self.basis)
 
     def __str__(self) -> str:
         if self.is_trivial:
@@ -126,11 +123,9 @@ class ModuleElement:
     def terms(self) -> dict[Subgroup, int]:
         return dict(self._terms)
 
-    def items_sorted(self) -> list[tuple[Subgroup, int]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
     def __iter__(self) -> Iterator[tuple[Subgroup, int]]:
-        return iter(self.items_sorted())
+        """The terms in subgroup order."""
+        return iter(sorted(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -170,7 +165,7 @@ class ModuleElement:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(f"{c}*{s}" for s, c in self.items_sorted())
+        return " + ".join(f"{c}*{s}" for s, c in self)
 
     def __repr__(self) -> str:
         return f"ModuleElement({self})"

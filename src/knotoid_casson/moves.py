@@ -13,7 +13,9 @@ Moves act on the Gauss word:
 
 A valid site is a deletion or triangle site that its finder
 (``r1_delete_sites``, ``r2_delete_sites``, ``r3_sites``) lists for the
-code, field for field, or an insertion at gaps in range with fresh labels.
+code, field for field, or an insertion of its kind's shape at gaps in
+range whose rewrite is a valid code (fresh, distinct, well-formed labels
+and the int sign +1 or -1, as ``KnotoidCode`` and ``Item`` check them).
 A rewrite at a valid site is a move exactly when its result is spherically
 realizable.  Pushing strands over the endpoints cannot arise at the word
 level; insertions at the extreme gaps stay legal because they happen in a
@@ -78,7 +80,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .codes import OVER, UNDER, Item, KnotoidCode, fresh_labels
+from .codes import OVER, UNDER, CodeValidationError, Item, KnotoidCode, fresh_labels
 from .planar import PlanarMap, trace_faces
 
 R1_INSERT = "R1Insert"
@@ -111,66 +113,60 @@ class MoveInstance:
     parallel: bool = True
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise IllegalMoveError(message)
+def _insert_positions(move: MoveInstance) -> tuple[int, ...]:
+    """First positions, in the result, of the blocks an insertion adds: a
+    kink's pair, or a bigon's over block and under block."""
+    if move.kind == R1_INSERT:
+        return move.gaps
+    g_over, g_under = move.gaps
+    over_first = g_over < g_under or (g_over == g_under and move.over_first)
+    return g_over + 2 * (not over_first), g_under + 2 * over_first
 
 
 def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
-    """The word rewrite of ``move``.  Insertions are checked here (gaps in
-    range, fresh labels); a deletion or triangle must be a listed site."""
+    """The word rewrite of ``move``; a deletion or triangle must be a listed site.
+
+    An insertion is checked here only for its kind's shape (a gap and a label
+    per added block, one sign, no positions, a kink left ``parallel``) and for
+    gaps in range; building the result checks that its labels are fresh,
+    distinct and well formed and that its sign is the int +1 or -1.
+    """
     word = list(code.word)
     signs = dict(code.signs)
-    length = len(word)
-
-    if move.kind == R1_INSERT:
-        (gap,) = move.gaps
-        (label,) = move.labels
-        _require(0 <= gap <= length, f"gap {gap} out of range")
-        _require(label not in signs, f"label {label!r} is not fresh")
-        pair = [Item(OVER, label), Item(UNDER, label)]
-        if not move.over_first:
-            pair.reverse()
-        word[gap:gap] = pair
-        signs[label] = move.signs[0]
-
-    elif move.kind == R2_INSERT:
-        g_over, g_under = move.gaps
-        x, y = move.labels
-        sx = move.signs[0]
-        _require(0 <= g_over <= length and 0 <= g_under <= length, "gap out of range")
-        _require(x not in signs and y not in signs and x != y, "labels not fresh")
-        over_block = [Item(OVER, x), Item(OVER, y)]
-        under_block = [Item(UNDER, x), Item(UNDER, y)]
-        if not move.parallel:
-            under_block.reverse()
-        if g_over == g_under:
-            block = over_block + under_block if move.over_first else under_block + over_block
-            word[g_over:g_over] = block
-        elif g_over > g_under:
-            word[g_over:g_over] = over_block
-            word[g_under:g_under] = under_block
+    kind = move.kind
+    try:
+        if kind in (R1_INSERT, R2_INSERT):
+            kink = kind == R1_INSERT
+            if not (len(move.gaps) == len(move.labels) == 2 - kink and len(move.signs) == 1
+                    and not move.positions and (move.parallel or not kink)):
+                raise IllegalMoveError(f"malformed {kind}: {move}")
+            if min(move.gaps) < 0 or max(move.gaps) > len(word):
+                raise IllegalMoveError(f"{kind} gap out of range: {move.gaps}")
+            over = [Item(OVER, label) for label in move.labels]
+            under = [Item(UNDER, label) for label in move.labels]
+            if kink:
+                blocks = [over + under if move.over_first else under + over]
+            else:
+                blocks = [over, under if move.parallel else under[::-1]]
+            (sign,) = move.signs
+            signs.update(zip(move.labels, (sign, -sign)))
+            # the positions are distinct and final, so inserting in ascending order keeps them
+            for p, block in sorted(zip(_insert_positions(move), blocks)):
+                word[p:p] = block
+        elif kind in (R1_DELETE, R2_DELETE):
+            # the blocks of a site never overlap, so deleting the later one first keeps the other's position
+            for p in sorted(move.positions, reverse=True):
+                del word[p:p + 2]
+            for label in move.labels:
+                del signs[label]
+        elif kind == R3:
+            for p in move.positions:
+                word[p], word[p + 1] = word[p + 1], word[p]
         else:
-            word[g_under:g_under] = under_block
-            word[g_over:g_over] = over_block
-        signs[x] = sx
-        signs[y] = -sx
-
-    elif move.kind in (R1_DELETE, R2_DELETE):
-        # the blocks of a site never overlap, so deleting the later one first keeps the other's position
-        for p in sorted(move.positions, reverse=True):
-            del word[p:p + 2]
-        for label in move.labels:
-            del signs[label]
-
-    elif move.kind == R3:
-        for p in move.positions:
-            word[p], word[p + 1] = word[p + 1], word[p]
-
-    else:
-        raise IllegalMoveError(f"unknown move kind {move.kind!r}")
-
-    return KnotoidCode(tuple(word), signs)
+            raise IllegalMoveError(f"unknown move kind {kind!r}")
+        return KnotoidCode(tuple(word), signs)
+    except CodeValidationError as exc:
+        raise IllegalMoveError(f"{kind} result is not a valid code: {exc}") from None
 
 
 def _bigon_sides(sign: int, parallel: bool) -> tuple[int, int]:
@@ -222,23 +218,15 @@ def inverse_move(move: MoveInstance) -> MoveInstance:
         return MoveInstance(R1_INSERT, gaps=move.positions, labels=move.labels,
                             signs=move.signs, over_first=move.over_first)
     if move.kind == R2_INSERT:
-        g_over, g_under = move.gaps
-        if g_over < g_under:
-            p_over, p_under = g_over, g_under + 2
-        elif g_over > g_under:
-            p_over, p_under = g_over + 2, g_under
-        else:
-            p_over, p_under = (g_over, g_over + 2) if move.over_first else (g_over + 2, g_over)
-        return MoveInstance(R2_DELETE, positions=(p_over, p_under), labels=move.labels,
+        return MoveInstance(R2_DELETE, positions=_insert_positions(move), labels=move.labels,
                             signs=move.signs, parallel=move.parallel)
     if move.kind == R2_DELETE:
+        # the placement of _insert_positions, undone
         p_over, p_under = move.positions
-        if p_over < p_under:
-            gaps, over_first = (p_over, p_under - 2), True
-        else:
-            gaps, over_first = (p_over - 2, p_under), False
-        return MoveInstance(R2_INSERT, gaps=gaps, labels=move.labels,
-                            signs=move.signs, over_first=over_first, parallel=move.parallel)
+        over_first = p_over < p_under
+        gaps = p_over - 2 * (not over_first), p_under - 2 * over_first
+        return MoveInstance(R2_INSERT, gaps=gaps, labels=move.labels, signs=move.signs,
+                            over_first=over_first, parallel=move.parallel)
     if move.kind == R3:
         return move
     raise IllegalMoveError(f"unknown move kind {move.kind!r}")
@@ -370,42 +358,32 @@ _WALK_KINDS = (R1_INSERT, R2_INSERT, R1_DELETE, R2_DELETE, R3)
 _GROW_WEIGHTS = (3, 3, 3, 3, 2)
 _SHRINK_WEIGHTS = (0, 0, 4, 4, 2)
 _MAX_ATTEMPTS = 12
+# insertions stop once a walk's code exceeds its starting size by this many crossings
+_GROWTH_CAP = 12
 
 
 def _random_candidate(code: KnotoidCode, kind: str, rng: random.Random) -> MoveInstance | None:
-    length = len(code.word)
-    if kind == R1_INSERT:
-        (label,) = fresh_labels(code, 1)
-        return MoveInstance(
-            R1_INSERT, gaps=(rng.randrange(length + 1),), labels=(label,),
-            signs=(rng.choice((1, -1)),), over_first=rng.random() < 0.5,
-        )
-    if kind == R2_INSERT:
-        labels = fresh_labels(code, 2)
-        return MoveInstance(
-            R2_INSERT,
-            gaps=(rng.randrange(length + 1), rng.randrange(length + 1)),
-            labels=labels, signs=(rng.choice((1, -1)),),
-            over_first=rng.random() < 0.5,
-        )
+    if kind in (R1_INSERT, R2_INSERT):
+        end = len(code.word) + 1
+        gaps = (rng.randrange(end),) if kind == R1_INSERT else (rng.randrange(end), rng.randrange(end))
+        return MoveInstance(kind, gaps=gaps, labels=fresh_labels(code, len(gaps)),
+                            signs=(rng.choice((1, -1)),), over_first=rng.random() < 0.5)
     sites = _SITES[kind](code)
     return rng.choice(sites) if sites else None
 
 
-def iter_walk(
-    code: KnotoidCode, steps: int, seed: int, growth_cap: int = 12
-) -> Iterator[tuple[MoveInstance, KnotoidCode]]:
+def iter_walk(code: KnotoidCode, steps: int, seed: int) -> Iterator[tuple[MoveInstance, KnotoidCode]]:
     """Seeded random walk; yields (move, code) per performed step.
 
     Steps with no legal candidate after a bounded number of attempts are
     skipped.  Insertions are disabled once the code exceeds its starting
-    size by ``growth_cap`` crossings, keeping walks bounded.  The faces of
+    size by ``_GROWTH_CAP`` crossings, keeping walks bounded.  The faces of
     each code reached are traced at most once, and only when a candidate
     needs them; a rejected candidate is never rewritten.
     """
     rng = random.Random(seed)
     current = code
-    cap = code.n_crossings + growth_cap
+    cap = code.n_crossings + _GROWTH_CAP
     # every performed step reaches a realizable code, where every valid kink,
     # bigon deletion and triangle site is a move
     pmap = trace_faces(code)
@@ -426,7 +404,6 @@ def iter_walk(
             pmap, realizable = None, True
             yield move, current
             break
-    return
 
 
 def random_walk(code: KnotoidCode, steps: int, seed: int) -> KnotoidCode:

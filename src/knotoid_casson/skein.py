@@ -23,7 +23,7 @@ is positional, so virtual codes satisfy it as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .codes import OVER, KnotoidCode, MultiKnotoidCode, switch_crossing
 from .skew import casson_pm
@@ -84,15 +84,7 @@ class SkeinReport:
     ok: bool
 
     def as_dict(self) -> dict:
-        return {
-            "crossing": self.crossing,
-            "s1": self.s1,
-            "lhs_plus": self.lhs_plus,
-            "rhs_plus": self.rhs_plus,
-            "lhs_minus": self.lhs_minus,
-            "rhs_minus": self.rhs_minus,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def verify_skein(code: KnotoidCode, label: str) -> SkeinReport:

@@ -38,6 +38,7 @@ from knotoid_casson.moves import (
     _random_candidate,
     _rewrite,
     _GROW_WEIGHTS,
+    _GROWTH_CAP,
     _MAX_ATTEMPTS,
     _SHRINK_WEIGHTS,
     _WALK_KINDS,
@@ -254,8 +255,9 @@ def realizable_code_strategy(draw, max_crossings: int = 40) -> KnotoidCode:
             factor = mirror(factor)
         code = concat_product(code, factor) if rng.random() < 0.5 else concat_product(factor, code)
     steps = draw(st.integers(0, 20))
-    growth_cap = max_crossings - 1 - code.n_crossings
-    for _, reached in iter_walk(code, steps, rng.randrange(10**6), growth_cap=growth_cap):
+    for _, reached in iter_walk(code, steps, rng.randrange(10**6)):
+        if reached.n_crossings > max_crossings:
+            break
         code = reached
     return code
 
@@ -444,11 +446,11 @@ def reference_enumerate_moves(code: KnotoidCode) -> list[MoveInstance]:
     return legal
 
 
-def reference_walk(code: KnotoidCode, steps: int, seed: int, growth_cap: int = 12):
+def reference_walk(code: KnotoidCode, steps: int, seed: int):
     """Reference walk: the same seeded candidates, each tried with ``reference_apply``."""
     rng = random.Random(seed)
     current = code
-    cap = code.n_crossings + growth_cap
+    cap = code.n_crossings + _GROWTH_CAP
     for _ in range(steps):
         weights = _SHRINK_WEIGHTS if current.n_crossings >= cap else _GROW_WEIGHTS
         for _attempt in range(_MAX_ATTEMPTS):

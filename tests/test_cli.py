@@ -273,6 +273,18 @@ def test_batch_into_its_own_catalog_names_the_file(tmp_path, capsys):
         assert {p: p.read_bytes() for p in catalog.iterdir()} == before
 
 
+def test_batch_out_naming_an_existing_file_exits_1(tmp_path, capsys):
+    catalog = tmp_path / "codes"
+    catalog.mkdir()
+    (catalog / "2_1.knd").write_text("name 2_1\n" + TWO_ONE_TEXT + "\n")
+    out = catalog / "2_1.knd"
+    before, text = _files(tmp_path), out.read_bytes()
+    assert main(["batch", str(catalog), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert _files(tmp_path) == before and out.read_bytes() == text
+
+
 def test_batch_into_a_subdirectory_of_its_catalog_runs_twice(tmp_path, capsys):
     catalog = tmp_path / "codes"
     catalog.mkdir()

@@ -336,6 +336,17 @@ def test_multiknotoid_circle_compared_cyclically():
     assert m1 != m3
 
 
+def test_multiknotoid_equality_compares_every_part():
+    m = parse_multiknotoid_code("segment: Oa\ncircle: Ua Ob Ub\n; a=+1 b=+1")
+    assert m.__eq__(m.segment) is NotImplemented
+    assert m != "segment: Oa"
+    assert m != parse_multiknotoid_code("segment: Ua\ncircle: Oa Ob Ub\n; a=+1 b=+1")
+    assert m != parse_multiknotoid_code("segment: Oa\ncircle: Ua Ob Ub\n; a=+1 b=-1")
+    assert m != parse_multiknotoid_code("segment: Oa\ncircle: Ua\ncircle: Ob Ub\n; a=+1 b=+1")
+    split = parse_multiknotoid_code("segment:\ncircle: Oa Ua\ncircle: Ob Ub\n; a=+1 b=+1")
+    assert split != parse_multiknotoid_code("segment:\ncircle: Oa Ua Ob Ub\ncircle:\n; a=+1 b=+1")
+
+
 def test_multiknotoid_roundtrip():
     text = "segment: Ob\ncircle: Ub\n; b=+1"
     m = parse_multiknotoid_code(text)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from knotoid_casson.homology import (
     ModuleElement,
     Subgroup,
+    as_class,
     hermite_normal_form,
 )
 
@@ -39,6 +40,15 @@ def test_trivial_subgroup_is_distinct_basis_element():
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
         Subgroup.generated_by((1, 0), (1,))
+    with pytest.raises(ValueError, match="mixed ranks"):
+        hermite_normal_form([(1, 0), (1,)])
+
+
+def test_empty_class_and_no_generators_rejected():
+    with pytest.raises(ValueError, match="rank >= 1"):
+        as_class(())
+    with pytest.raises(ValueError, match="at least one generator"):
+        Subgroup.generated_by()
 
 
 def test_hnf_examples_rank_two():
@@ -137,3 +147,18 @@ def test_str_formats():
     assert str(cyc(0) + cyc(1)) == "1*<0> + 1*<1>"
     assert str(cyc(1, 2) + cyc(2)) == "2*<1> + 1*<2>"
     assert str(Subgroup.generated_by((1, 0), (0, 2))) == "<(1,0),(0,2)>"
+
+
+def test_iteration_orders_terms_by_rank_then_basis():
+    plane = ModuleElement.single(Subgroup.generated_by((1, 0)), 3)
+    elem = plane + cyc(2, -1) + cyc(0) + cyc(1)
+    assert [(str(s), c) for s, c in elem] == [("<0>", 1), ("<1>", 1), ("<2>", -1), ("<(1,0)>", 3)]
+    five, x_axis, y_axis = Subgroup.cyclic(5), Subgroup.generated_by((1, 0)), Subgroup.generated_by((0, 1))
+    assert sorted([x_axis, five, y_axis]) == [five, y_axis, x_axis]
+
+
+def test_module_element_is_not_a_number():
+    assert ModuleElement.zero().__eq__(0) is NotImplemented
+    assert ModuleElement.zero() != 0
+    assert repr(cyc(1, -1) + cyc(2)) == "ModuleElement(-1*<1> + 1*<2>)"
+    assert repr(ModuleElement.zero()) == "ModuleElement(0)"

@@ -137,6 +137,50 @@ def test_apply_validates_sites():
         apply(tri, dataclasses.replace(site, signs=(1, -1, 1)))
 
 
+KINK = MoveInstance(R1_INSERT, gaps=(1,), labels=("k",), signs=(1,))
+BIGON = MoveInstance(R2_INSERT, gaps=(1, 4), labels=("x", "y"), signs=(1,))
+NOT_A_CODE = "result is not a valid code: "
+
+
+@pytest.mark.parametrize("move, message", [
+    *[(dataclasses.replace(move, signs=signs), NOT_A_CODE + f"sign of {move.labels[0]!r} must be")
+      for move in (KINK, BIGON) for signs in ((2,), (True,), (1.0,))],
+    *[(dataclasses.replace(move, signs=signs), "malformed")
+      for move in (KINK, BIGON) for signs in ((), (1, -1))],
+    (dataclasses.replace(KINK, gaps=(1, 2)), "malformed"),
+    (dataclasses.replace(KINK, labels=("k", "l")), "malformed"),
+    (dataclasses.replace(BIGON, gaps=(1,)), "malformed"),
+    (dataclasses.replace(BIGON, labels=("x",)), "malformed"),
+    (dataclasses.replace(BIGON, gaps=(1, 2, 3), labels=("x", "y", "z")), "malformed"),
+    (dataclasses.replace(BIGON, labels=("x", "x")), NOT_A_CODE + "label 'x' must occur exactly twice"),
+    (dataclasses.replace(KINK, labels=("a",)), NOT_A_CODE + "label 'a' must occur exactly twice"),
+    (dataclasses.replace(BIGON, labels=("x", "b")), NOT_A_CODE + "label 'b' must occur exactly twice"),
+    (dataclasses.replace(KINK, labels=("k k",)), NOT_A_CODE + "bad crossing label 'k k'"),
+    (dataclasses.replace(BIGON, labels=("x", "k k")), NOT_A_CODE + "bad crossing label 'k k'"),
+    (dataclasses.replace(KINK, positions=(1,)), "malformed"),
+    (dataclasses.replace(BIGON, positions=(1, 3)), "malformed"),
+    (dataclasses.replace(KINK, parallel=False), "malformed"),
+    (dataclasses.replace(KINK, gaps=(-1,)), "gap out of range"),
+    (dataclasses.replace(KINK, gaps=(5,)), "gap out of range"),
+    (dataclasses.replace(BIGON, gaps=(0, 5)), "gap out of range"),
+])
+def test_malformed_insertions_raise_illegal_move(move, message):
+    code = two_one()
+    # each case differs from a legal move in the field it names
+    apply(code, KINK if move.kind == R1_INSERT else BIGON)
+    for fn in (apply, moves._rewrite):
+        with pytest.raises(IllegalMoveError) as exc:
+            fn(code, move)
+        assert message in str(exc.value)
+
+
+def test_unknown_move_kind_raises_illegal_move():
+    move = MoveInstance("R4", positions=(0,), labels=("a",))
+    for fn in (lambda m: apply(two_one(), m), inverse_move):
+        with pytest.raises(IllegalMoveError, match="unknown move kind 'R4'"):
+            fn(move)
+
+
 def test_r3_swap_and_involution():
     tri = parse_knotoid_code("Oz Ux Uy Uz Ox Oy ; x=+1 y=-1 z=+1")
     sites = r3_sites(tri)
@@ -198,12 +242,11 @@ def test_walks_preserve_invariants_stepwise():
 
 
 def test_walk_growth_cap_respected():
-    rng_sizes = []
     code = two_one()
-    for _move, current in iter_walk(code, 200, seed=3, growth_cap=6):
-        rng_sizes.append(current.n_crossings)
-    # insertions stop at the cap, so the walk can exceed it by at most one R2
-    assert max(rng_sizes) <= code.n_crossings + 6 + 2
+    cap = code.n_crossings + moves._GROWTH_CAP
+    largest = max(current.n_crossings for seed in range(3, 8) for _, current in iter_walk(code, 200, seed))
+    # insertions go on up to the cap and stop there, so a walk exceeds it by at most one R2
+    assert cap <= largest <= cap + 2
 
 
 def test_every_walk_step_is_enumerable_kind():
