@@ -75,10 +75,7 @@ class InvariantReport:
 
 def crossing_lower_bound(ch_plus: ModuleElement, ch_minus: ModuleElement) -> int:
     """Least n >= 0 with floor(n^2/4) >= |ch_plus| + |ch_minus|."""
-    return _least_crossings(ch_plus.norm() + ch_minus.norm())
-
-
-def _least_crossings(norm_sum: int) -> int:
+    norm_sum = ch_plus.norm() + ch_minus.norm()
     # floor(n^2/4) >= t for an integer t >= 1 exactly when n^2 >= 4t, so n = ceil(sqrt(4t))
     return 0 if norm_sum == 0 else math.isqrt(4 * norm_sum - 1) + 1
 
@@ -137,11 +134,10 @@ def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
         values = casson_pm(code)
         ch_plus = ch_minus = norm_sum = bound = None
     else:
-        upper, lower = _subgroup_sums(code, classes)
-        ch_plus, ch_minus = ModuleElement(upper), ModuleElement(lower)
-        values = CassonValues(sum(upper.values()), sum(lower.values()))
-        norm_sum = sum(map(abs, upper.values())) + sum(map(abs, lower.values()))
-        bound = _least_crossings(norm_sum)
+        ch_plus, ch_minus = map(ModuleElement, _subgroup_sums(code, classes))
+        values = CassonValues(ch_plus.total_coefficient(), ch_minus.total_coefficient())
+        norm_sum = ch_plus.norm() + ch_minus.norm()
+        bound = crossing_lower_bound(ch_plus, ch_minus)
     return InvariantReport(
         name=name,
         c_plus=values.c_plus,
@@ -190,16 +186,23 @@ def odd_conjecture_experiment(report: InvariantReport) -> dict:
 # catalog handling
 
 
-def read_code_file(
-    path: Union[str, Path],
-) -> list[tuple[str | None, Union[KnotoidCode, MultiKnotoidCode]]]:
-    """The named blocks of one code file; every parse error names the file."""
+def read_code_file(path: Union[str, Path]) -> list[tuple[str, KnotoidCode]]:
+    """The named knotoid codes of one file; every error, a multi-knotoid block
+    included, names the file.  An unnamed block takes the file's stem, plus
+    ``.<index>`` when the file holds several blocks."""
     try:
-        return read_code_blocks(Path(path).read_text())
+        blocks = read_code_blocks(Path(path).read_text())
     except UnicodeDecodeError as exc:
         raise CodeSyntaxError(f"{path}: code text must be ASCII") from exc
     except CodeError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+    stem = Path(path).stem
+    named = []
+    for i, (name, code) in enumerate(blocks):
+        if isinstance(code, MultiKnotoidCode):
+            raise CodeError(f"{path}: block {i} is a multi-knotoid; a knotoid code is required")
+        named.append((name or (stem if len(blocks) == 1 else f"{stem}.{i}"), code))
+    return named
 
 
 def _catalog_entries(directory: Union[str, Path]) -> list[tuple[str, str, KnotoidCode]]:
@@ -207,18 +210,11 @@ def _catalog_entries(directory: Union[str, Path]) -> list[tuple[str, str, Knotoi
 
     ``where`` is "<file>: block <index>"; parse errors carry the file path.
     """
-    entries: list[tuple[str, str, KnotoidCode]] = []
-    for path in sorted(Path(directory).iterdir()):
-        if not path.is_file():
-            continue
-        blocks = read_code_file(path)
-        for i, (name, code) in enumerate(blocks):
-            where = f"{path}: block {i}"
-            if isinstance(code, MultiKnotoidCode):
-                raise CodeError(f"{where}: catalog entries must be knotoid codes")
-            label = name or (path.stem if len(blocks) == 1 else f"{path.stem}.{i}")
-            entries.append((where, label, code))
-    return entries
+    return [
+        (f"{path}: block {i}", name, code)
+        for path in sorted(Path(directory).iterdir()) if path.is_file()
+        for i, (name, code) in enumerate(read_code_file(path))
+    ]
 
 
 def load_catalog(directory: Union[str, Path]) -> list[tuple[str, KnotoidCode]]:
@@ -241,13 +237,8 @@ def summary_table(reports: Iterable[InvariantReport]) -> str:
     """Plain-text table with one row per entry: name, C+, C-, CH+, CH-."""
     rows = [("name", "C+", "C-", "CH+", "CH-")]
     for r in reports:
-        rows.append((
-            r.name,
-            str(r.c_plus),
-            str(r.c_minus),
-            VIRTUAL if r.ch_plus is None else str(r.ch_plus),
-            VIRTUAL if r.ch_minus is None else str(r.ch_minus),
-        ))
+        d = r.to_json_dict()
+        rows.append((d["name"], str(d["c_plus"]), str(d["c_minus"]), d["ch_plus"], d["ch_minus"]))
     widths = [max(len(row[i]) for row in rows) for i in range(5)]
     lines = []
     for idx, row in enumerate(rows):
@@ -268,18 +259,28 @@ def evaluate_catalog(
     catalog directory itself, whose every file is read as codes; this is
     checked before anything is read.  Entry names are checked before
     anything is written: a name that is empty, ``.``, ``..``, holds a path
-    separator, or repeats another raises ``CodeError``.
+    separator, or repeats another raises ``CodeError``.  Every report and
+    file text is ready before the first write; an ``OSError`` while writing
+    removes the files this run wrote and propagates.
     """
     out = Path(out_dir)
     if out.resolve() == Path(directory).resolve():
         raise CodeError(f"{out}: reports cannot go into the catalog directory itself")
     entries = _catalog_entries(directory)
     _check_report_names(entries)
+    reports = [full_report(code, name) for _, name, code in entries]
+    files = {out / f"{r.name}.json": json.dumps(r.to_json_dict(), indent=2) + "\n" for r in reports}
+    files[out / "summary.txt"] = summary_table(reports) + "\n"
     out.mkdir(parents=True, exist_ok=True)
-    reports = []
-    for _, name, code in entries:
-        report = full_report(code, name)
-        (out / f"{name}.json").write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
-        reports.append(report)
-    (out / "summary.txt").write_text(summary_table(reports) + "\n")
+    written: list[Path] = []
+    try:
+        for path, text in files.items():
+            with path.open("w") as f:
+                # once opened, the file is truncated: its content is this run's
+                written.append(path)
+                f.write(text)
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return reports

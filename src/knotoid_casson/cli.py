@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .analysis import (
     evaluate_catalog,
@@ -32,34 +31,30 @@ from .analysis import (
     read_code_file,
     summary_table,
 )
-from .codes import CodeError, KnotoidCode, MultiKnotoidCode, serialize
+from .codes import CodeError, KnotoidCode, serialize
 from .moves import iter_walk
 from .planar import NonRealizableError
 from .skein import verify_skein
 
 
 def _load_knotoids(path: str) -> list[tuple[str, KnotoidCode]]:
-    out = []
-    for i, (name, code) in enumerate(read_code_file(path)):
-        if isinstance(code, MultiKnotoidCode):
-            raise CodeError(f"{path}: block {i} is a multi-knotoid; a knotoid code is required")
-        out.append((name or Path(path).stem, code))
-    if not out:
+    named = read_code_file(path)
+    if not named:
         raise CodeError(f"{path}: no code blocks found")
-    return out
+    return named
+
+
+# (label, JSON key) of each line of a text report, in order
+_TEXT_FIELDS = (
+    ("name", "name"), ("crossings", "diagram_crossings"), ("C+", "c_plus"), ("C-", "c_minus"),
+    ("CH+", "ch_plus"), ("CH-", "ch_minus"), ("norm sum", "norm_sum"),
+    ("crossing-number bound", "crossing_lower_bound"), ("properness", "properness"),
+)
 
 
 def _render_report_text(report) -> str:
     d = report.to_json_dict()
-    lines = [f"name: {d['name']}", f"crossings: {d['diagram_crossings']}"]
-    lines.append(f"C+: {d['c_plus']}")
-    lines.append(f"C-: {d['c_minus']}")
-    lines.append(f"CH+: {d['ch_plus']}")
-    lines.append(f"CH-: {d['ch_minus']}")
-    lines.append(f"norm sum: {d['norm_sum']}")
-    lines.append(f"crossing-number bound: {d['crossing_lower_bound']}")
-    lines.append(f"properness: {d['properness']}")
-    return "\n".join(lines)
+    return "\n".join(f"{label}: {d[key]}" for label, key in _TEXT_FIELDS)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -79,6 +74,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_check_moves(args: argparse.Namespace) -> int:
+    for flag, count in (("--steps", args.steps), ("--trials", args.trials)):
+        if count < 0:
+            raise CodeError(f"{flag} must be >= 0")
     for name, code in _load_knotoids(args.file):
         base = full_report(code, name)
         if base.is_virtual:

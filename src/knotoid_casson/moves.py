@@ -29,8 +29,8 @@ edges, and its forced rotation system has F faces with
 F <= n + 1, with equality exactly when the code is realizable.  A move
 changes the rotation system only inside a box around the crossings it
 adds, removes or rearranges, which meets the rest of the diagram in the
-darts of the edges it cuts.  A face that enters the box on a dart leaves
-it on a dart T(entry); faces that never enter the box are unchanged.  So
+sides of the edges it cuts.  A face that enters the box along a side
+leaves along a side T(entry); faces that never enter it are unchanged.  So
 the faces through the box are the cycles of "follow T, then the outside",
 and the box may close faces of its own.  Changing T by exchanging the
 exits of two entries splits a cycle in two when both entries lie on one
@@ -46,9 +46,8 @@ face and joins two cycles otherwise.  Tracing T through the rotations of
 * Bigon insertion (R2), over block at gap g_o and under block at gap g_u,
   signs s for x and -s for y.  The new rotations close one face inside,
   the bigon, and T is straight through except that two entries exchange
-  exits.  The entries are the cut edges' darts on these sides (the left
-  side of edge e is its forward dart 2e, the right side its backward dart
-  2e + 1):
+  exits.  The entries run along these sides of the cut edges, whose faces
+  ``PlanarMap.face`` gives:
 
       parallel,     s = +1:  right of g_o, left of g_u
       parallel,     s = -1:  left of g_o,  right of g_u
@@ -61,14 +60,14 @@ face and joins two cycles otherwise.  Tracing T through the rotations of
   when the input is and the two sides are one face, and never when the
   input is virtual (F < n + 1).
 * Bigon deletion (R2) is the inverse: the input is the insertion into the
-  result, and its two entries are darts of the input on the same sides,
-  read on the edges just outside the blocks: a left side on the edge
-  entering a block (edge p for a block at position p), a right side on
-  the edge leaving it (edge p + 2).  F' = F - 2 when they lie on
-  different faces and F' = F when on one.  On a realizable input they
-  always lie on different faces, since F' = n + 1 would give the result
-  (n - 2 crossings) V - E + F' = 4; so its deletions are always legal.  A
-  virtual input's deletion is legal when F' = n - 1.
+  result, and its two entries run along the same sides of the input's
+  edges just outside the blocks: a left side on the edge entering a block
+  (edge p for a block at position p), a right side on the edge leaving it
+  (edge p + 2).  F' = F - 2 when they lie on different faces and F' = F
+  when on one.  On a realizable input they always lie on different faces,
+  since F' = n + 1 would give the result (n - 2 crossings)
+  V - E + F' = 4; so its deletions are always legal.  A virtual input's
+  deletion is legal when F' = n - 1.
 * Triangle (R3).  Both arrangements, at signs (+1, -1, +1), send each of
   the six entries to the same exit and close one face inside, the
   triangle.  So F' = F: legal exactly when the input is realizable.
@@ -127,9 +126,10 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
     """The word rewrite of ``move``; a deletion or triangle must be a listed site.
 
     An insertion is checked here only for its kind's shape (a gap and a label
-    per added block, one sign, no positions, a kink left ``parallel``) and for
-    gaps in range; building the result checks that its labels are fresh,
-    distinct and well formed and that its sign is the int +1 or -1.
+    per added block, one sign, no positions, a kink left ``parallel``, gaps of
+    type int and never bool, labels of type str) and for gaps in range;
+    building the result checks that its labels are fresh, distinct and well
+    formed and that its sign is the int +1 or -1.
     """
     word = list(code.word)
     signs = dict(code.signs)
@@ -138,7 +138,9 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
         if kind in (R1_INSERT, R2_INSERT):
             kink = kind == R1_INSERT
             if not (len(move.gaps) == len(move.labels) == 2 - kink and len(move.signs) == 1
-                    and not move.positions and (move.parallel or not kink)):
+                    and not move.positions and (move.parallel or not kink)
+                    and all(type(gap) is int for gap in move.gaps)
+                    and all(type(label) is str for label in move.labels)):
                 raise IllegalMoveError(f"malformed {kind}: {move}")
             if min(move.gaps) < 0 or max(move.gaps) > len(word):
                 raise IllegalMoveError(f"{kind} gap out of range: {move.gaps}")
@@ -149,7 +151,8 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
             else:
                 blocks = [over, under if move.parallel else under[::-1]]
             (sign,) = move.signs
-            signs.update(zip(move.labels, (sign, -sign)))
+            # a sign that is not an int is left to the code to reject, like any other bad sign
+            signs.update(zip(move.labels, (sign, -sign if type(sign) is int else sign)))
             # the positions are distinct and final, so inserting in ascending order keeps them
             for p, block in sorted(zip(_insert_positions(move), blocks)):
                 word[p:p] = block
@@ -183,17 +186,16 @@ def _is_legal(pmap: PlanarMap, move: MoveInstance) -> bool:
     is realizable, and its face count follows from the faces of the code by
     the rules of the module docstring.
     """
-    dart_face, count, n = pmap.dart_face, pmap.num_faces, pmap.code.n_crossings
     if move.kind == R2_INSERT:
         (g_over, g_under), (s_over, s_under) = move.gaps, _bigon_sides(move.signs[0], move.parallel)
-        return count == n + 1 and dart_face[2 * g_over + s_over] == dart_face[2 * g_under + s_under]
+        return pmap.realizable and pmap.face(g_over, s_over) == pmap.face(g_under, s_under)
     if move.kind == R2_DELETE:
         # a left side is read on the edge entering a block, a right side on the edge leaving it
         (p_over, p_under), (s_over, s_under) = move.positions, _bigon_sides(move.signs[0], move.parallel)
-        over, under = 2 * (p_over + 2 * s_over) + s_over, 2 * (p_under + 2 * s_under) + s_under
-        return count - 2 * (dart_face[over] != dart_face[under]) == n - 1
+        split = pmap.face(p_over + 2 * s_over, s_over) != pmap.face(p_under + 2 * s_under, s_under)
+        return pmap.num_faces - 2 * split == pmap.code.n_crossings - 1
     # kinks and triangles keep the face count in step with the crossings
-    return count == n + 1
+    return pmap.realizable
 
 
 def apply(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
@@ -237,69 +239,50 @@ def inverse_move(move: MoveInstance) -> MoveInstance:
 
 
 def r1_delete_sites(code: KnotoidCode) -> list[MoveInstance]:
-    word = code.word
-    out = []
-    for p in range(len(word) - 1):
-        a, b = word[p], word[p + 1]
-        if a.label == b.label:
-            out.append(MoveInstance(
-                R1_DELETE, positions=(p,), labels=(a.label,),
-                signs=(code.signs[a.label],), over_first=(a.kind == OVER),
-            ))
-    return out
-
-
-def _adjacent_blocks(code: KnotoidCode, kind1: str, kind2: str) -> list[tuple[int, str, str]]:
-    word = code.word
+    """Crossings whose two passes are adjacent; labels come in word order."""
     return [
-        (p, word[p].label, word[p + 1].label)
-        for p in range(len(word) - 1)
-        if word[p].kind == kind1 and word[p + 1].kind == kind2
-        and word[p].label != word[p + 1].label
+        MoveInstance(R1_DELETE, positions=(min(o, u),), labels=(lab,), signs=(code.signs[lab],),
+                     over_first=o < u)
+        for lab, o, u in zip(code.labels, code.over_pos, code.under_pos) if abs(o - u) == 1
+    ]
+
+
+def _over_blocks(word: tuple[Item, ...]) -> list[tuple[int, str, str]]:
+    """(p, a, b) for every block "Oa Ob" at positions p and p + 1."""
+    return [
+        (p, first.label, second.label)
+        for p, (first, second) in enumerate(zip(word, word[1:]))
+        if first.kind == OVER and second.kind == OVER
     ]
 
 
 def r2_delete_sites(code: KnotoidCode) -> list[MoveInstance]:
+    """Over blocks "Ox Oy" of opposite signs below "Ux Uy" (parallel) or "Uy Ux"."""
     signs = code.signs
-    under_blocks = {(u1, u2): q for q, u1, u2 in _adjacent_blocks(code, UNDER, UNDER)}
-    out = []
-    for p, x, y in _adjacent_blocks(code, OVER, OVER):
-        if signs[x] != -signs[y]:
-            continue
-        # a label has one under pass, so at most one under block holds both labels
-        for parallel, pair in ((True, (x, y)), (False, (y, x))):
-            q = under_blocks.get(pair)
-            if q is not None:
-                out.append(MoveInstance(
-                    R2_DELETE, positions=(p, q), labels=(x, y),
-                    signs=(signs[x],), parallel=parallel,
-                ))
-    return out
+    under = dict(zip(code.labels, code.under_pos))
+    return [
+        MoveInstance(R2_DELETE, positions=(p, min(under[x], under[y])), labels=(x, y),
+                     signs=(signs[x],), parallel=under[x] < under[y])
+        for p, x, y in _over_blocks(code.word)
+        if signs[x] == -signs[y] and abs(under[x] - under[y]) == 1
+    ]
 
 
 def r3_sites(code: KnotoidCode) -> list[MoveInstance]:
-    signs = code.signs
-    under_under = _adjacent_blocks(code, UNDER, UNDER)
-    # a label has one under pass, so at most one under block starts, and one ends, with it;
-    # blocks never repeat a label, so z is neither a nor b when the third block exists
-    starting = {u1: (q, u2) for q, u1, u2 in under_under}
-    ending = {u2: (q, u1) for q, u1, u2 in under_under}
-    over_under = {(a, b): p for p, a, b in _adjacent_blocks(code, OVER, UNDER)}
-    under_over = {(a, b): p for p, a, b in _adjacent_blocks(code, UNDER, OVER)}
+    """Triangles (Ox Oy / Uy Uz / Oz Ux) at signs (+1, -1, +1), each block
+    read forward (d = 1) or, in the mirror-image arrangement, backward (d = -1)."""
+    word, signs = code.word, code.signs
+    over, under = dict(zip(code.labels, code.over_pos)), dict(zip(code.labels, code.under_pos))
     out = []
-    for p1, a, b in _adjacent_blocks(code, OVER, OVER):
-        # left arrangement: (x+ y-) = (Oa, Ob), then (Ub Uz) and (Oz Ua)
-        if signs[a] == 1 and signs[b] == -1 and b in starting:
-            p2, z = starting[b]
-            p3 = over_under.get((z, a))
-            if signs[z] == 1 and p3 is not None:
-                out.append(MoveInstance(R3, positions=(p1, p2, p3), labels=(a, b, z)))
-        # right arrangement: (y- x+) = (Oa, Ob), then (Uz Ua) and (Ub Oz)
-        elif signs[b] == 1 and signs[a] == -1 and a in ending:
-            p2, z = ending[a]
-            p3 = under_over.get((b, z))
-            if signs[z] == 1 and p3 is not None:
-                out.append(MoveInstance(R3, positions=(p1, p2, p3), labels=(b, a, z)))
+    for p1, a, b in _over_blocks(word):
+        if signs[a] == -signs[b]:
+            x, y, d = (a, b, 1) if signs[a] == 1 else (b, a, -1)
+            q = under[y] + d  # the under pass of z; positions -1 and 2n hold no item
+            if 0 <= q < len(word) and word[q].kind == UNDER:
+                z = word[q].label
+                if signs[z] == 1 and over[z] == under[x] - d:
+                    p2, p3 = min(under[y], q), min(over[z], under[x])
+                    out.append(MoveInstance(R3, positions=(p1, p2, p3), labels=(x, y, z)))
     return out
 
 
@@ -318,10 +301,9 @@ def enumerate_moves(code: KnotoidCode) -> list[MoveInstance]:
     """
     pmap = trace_faces(code)
     legal = [move for find in _SITES.values() for move in find(code) if _is_legal(pmap, move)]
-    if pmap.num_faces != code.n_crossings + 1:
+    if not pmap.realizable:
         return legal
-    dart_face = pmap.dart_face
-    gaps = range(len(code.word) + 1)
+    gaps = range(pmap.num_edges)
     x, y = fresh_labels(code, 2)
     for gap in gaps:
         for over_first in (True, False):
@@ -332,13 +314,14 @@ def enumerate_moves(code: KnotoidCode) -> list[MoveInstance]:
                 ))
     # side (0 left, 1 right) -> face -> the edges with that face on that side
     bordering: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
-    for dart, face in enumerate(dart_face):
-        bordering[dart & 1].setdefault(face, set()).add(dart >> 1)
+    for edge in gaps:
+        for side in (0, 1):
+            bordering[side].setdefault(pmap.face(edge, side), set()).add(edge)
     for g_over in gaps:
         under_gaps = {}
         for sign in (1, -1):
             s_over, s_under = _bigon_sides(sign, True)
-            under_gaps[sign] = bordering[s_under].get(dart_face[2 * g_over + s_over], set())
+            under_gaps[sign] = bordering[s_under].get(pmap.face(g_over, s_over), set())
         for g_under in sorted(under_gaps[1] | under_gaps[-1]):
             stackings = (True, False) if g_over == g_under else (True,)
             for over_first in stackings:
@@ -385,9 +368,8 @@ def iter_walk(code: KnotoidCode, steps: int, seed: int) -> Iterator[tuple[MoveIn
     current = code
     cap = code.n_crossings + _GROWTH_CAP
     # every performed step reaches a realizable code, where every valid kink,
-    # bigon deletion and triangle site is a move
-    pmap = trace_faces(code)
-    realizable = pmap.num_faces == code.n_crossings + 1
+    # bigon deletion and triangle site is a move; only the start may be virtual
+    pmap: PlanarMap | None = trace_faces(code)
     for _ in range(steps):
         weights = _SHRINK_WEIGHTS if current.n_crossings >= cap else _GROW_WEIGHTS
         for _attempt in range(_MAX_ATTEMPTS):
@@ -395,13 +377,13 @@ def iter_walk(code: KnotoidCode, steps: int, seed: int) -> Iterator[tuple[MoveIn
             move = _random_candidate(current, kind, rng)
             if move is None:
                 continue
-            if kind == R2_INSERT or not realizable:
+            if kind == R2_INSERT or (pmap is not None and not pmap.realizable):
                 if pmap is None:
                     pmap = trace_faces(current)
                 if not _is_legal(pmap, move):
                     continue
             current = _rewrite(current, move)
-            pmap, realizable = None, True
+            pmap = None
             yield move, current
             break
 

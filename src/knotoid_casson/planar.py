@@ -13,9 +13,10 @@ taken as reference:
     sign -1:  (over-out, under-in, over-in, under-out)
 
 Faces are the orbits of dart -> rotation-predecessor(reversed dart); the
-orbit of a dart is the face on its left.  The code admits a spherical
-diagram exactly when V - E + F = 2, which for n crossings means F = n+1;
-otherwise the code is virtual and only the integer invariants apply.
+orbit of a dart is the face on its left (``PlanarMap.face``).  The code
+admits a spherical diagram exactly when V - E + F = 2, which for n
+crossings means F = n+1 (``PlanarMap.realizable``); otherwise the code is
+virtual and only the integer invariants apply.
 
 For a realizable code, removing small disks around the two endpoints puts
 the diagram in an annulus.  The homology class of a crossing loop is its
@@ -76,21 +77,17 @@ class PlanarMap:
         return len(self.code.word) + 1
 
     @property
-    def num_vertices(self) -> int:
-        return self.code.n_crossings + 2
-
-    @property
     def num_faces(self) -> int:
         return len(self.faces)
 
-    def left_face(self, edge: int) -> int:
-        return self.dart_face[2 * edge]
+    @property
+    def realizable(self) -> bool:
+        """Whether the code has a spherical diagram: F = n + 1, i.e. V - E + F = 2."""
+        return len(self.faces) == self.code.n_crossings + 1
 
-    def right_face(self, edge: int) -> int:
-        return self.dart_face[2 * edge + 1]
-
-    def euler_characteristic(self) -> int:
-        return self.num_vertices - self.num_edges + self.num_faces
+    def face(self, edge: int, side: int) -> int:
+        """The face on one side of an edge: side 0 is its left, side 1 its right."""
+        return self.dart_face[2 * edge + side]
 
 
 def trace_faces(code: KnotoidCode) -> PlanarMap:
@@ -134,8 +131,9 @@ def trace_faces(code: KnotoidCode) -> PlanarMap:
 def build_planar_map(code: KnotoidCode) -> PlanarMap:
     """The traced map of a code; raise if it is not spherical."""
     pmap = trace_faces(code)
-    euler = pmap.euler_characteristic()
-    if euler != 2:
+    if not pmap.realizable:
+        # V - E + F with n + 2 vertices and 2n + 1 edges
+        euler = pmap.num_faces - code.n_crossings + 1
         raise NonRealizableError(
             f"code has no spherical diagram (Euler characteristic {euler})",
             genus=(2 - euler) // 2,

@@ -34,7 +34,6 @@ from knotoid_casson.moves import (
     R3,
     IllegalMoveError,
     MoveInstance,
-    _adjacent_blocks,
     _random_candidate,
     _rewrite,
     _GROW_WEIGHTS,
@@ -148,7 +147,7 @@ def all_simple_dual_paths(pmap: PlanarMap) -> list[tuple[ArcStep, ...]]:
         return [()]
     adjacency: dict[int, list[tuple[int, int]]] = {f: [] for f in range(pmap.num_faces)}
     for e in range(pmap.num_edges):
-        left, right = pmap.left_face(e), pmap.right_face(e)
+        left, right = pmap.face(e, 0), pmap.face(e, 1)
         if left != right:
             adjacency[left].append((right, e))
             adjacency[right].append((left, e))
@@ -161,7 +160,7 @@ def all_simple_dual_paths(pmap: PlanarMap) -> list[tuple[ArcStep, ...]]:
         for nxt, e in adjacency[face]:
             if nxt in visited:
                 continue
-            direction = RIGHT_TO_LEFT if face == pmap.right_face(e) else LEFT_TO_RIGHT
+            direction = RIGHT_TO_LEFT if face == pmap.face(e, 1) else LEFT_TO_RIGHT
             visited.add(nxt)
             steps.append(ArcStep(e, direction))
             extend(nxt, visited, steps)
@@ -182,7 +181,7 @@ def reference_dual_arc_steps(pmap: PlanarMap) -> tuple[ArcStep, ...]:
         return ()
     adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in range(pmap.num_faces)}
     for e in range(pmap.num_edges):
-        left, right = pmap.left_face(e), pmap.right_face(e)
+        left, right = pmap.face(e, 0), pmap.face(e, 1)
         if left != right:
             adjacency[left].append((right, e))
             adjacency[right].append((left, e))
@@ -202,7 +201,7 @@ def reference_dual_arc_steps(pmap: PlanarMap) -> tuple[ArcStep, ...]:
     f = pmap.leg_face
     while f != pmap.head_face:
         prev, e = parent[f]
-        direction = RIGHT_TO_LEFT if prev == pmap.right_face(e) else LEFT_TO_RIGHT
+        direction = RIGHT_TO_LEFT if prev == pmap.face(e, 1) else LEFT_TO_RIGHT
         steps.append(ArcStep(e, direction))
         f = prev
     steps.reverse()
@@ -314,10 +313,22 @@ def reference_report(code: KnotoidCode, name: str = "") -> InvariantReport:
     )
 
 
+def adjacent_blocks(code: KnotoidCode, kind1: str, kind2: str) -> list[tuple[int, str, str]]:
+    """(p, a, b) for every pair of passes of two crossings, of kinds ``kind1``
+    and ``kind2``, at positions p and p + 1, from a scan of the word."""
+    word = code.word
+    return [
+        (p, word[p].label, word[p + 1].label)
+        for p in range(len(word) - 1)
+        if word[p].kind == kind1 and word[p + 1].kind == kind2
+        and word[p].label != word[p + 1].label
+    ]
+
+
 def reference_r2_delete_sites(code: KnotoidCode) -> list[MoveInstance]:
     """Reference bigon sites: every over block against every under block."""
-    over_blocks = _adjacent_blocks(code, OVER, OVER)
-    under_blocks = _adjacent_blocks(code, UNDER, UNDER)
+    over_blocks = adjacent_blocks(code, OVER, OVER)
+    under_blocks = adjacent_blocks(code, UNDER, UNDER)
     out = []
     for p, x, y in over_blocks:
         if code.signs[x] != -code.signs[y]:
@@ -335,10 +346,10 @@ def reference_r2_delete_sites(code: KnotoidCode) -> list[MoveInstance]:
 def reference_r3_sites(code: KnotoidCode) -> list[MoveInstance]:
     """Reference triangle sites: every over block against every under block."""
     signs = code.signs
-    over_over = _adjacent_blocks(code, OVER, OVER)
-    under_under = _adjacent_blocks(code, UNDER, UNDER)
-    over_under = {(a, b): p for p, a, b in _adjacent_blocks(code, OVER, UNDER)}
-    under_over = {(a, b): p for p, a, b in _adjacent_blocks(code, UNDER, OVER)}
+    over_over = adjacent_blocks(code, OVER, OVER)
+    under_under = adjacent_blocks(code, UNDER, UNDER)
+    over_under = {(a, b): p for p, a, b in adjacent_blocks(code, OVER, UNDER)}
+    under_over = {(a, b): p for p, a, b in adjacent_blocks(code, UNDER, OVER)}
     out = []
     for p1, a, b in over_over:
         if signs[a] == 1 and signs[b] == -1:
@@ -359,11 +370,12 @@ def reference_r3_sites(code: KnotoidCode) -> list[MoveInstance]:
 
 
 def reference_r1_delete_sites(code: KnotoidCode) -> list[MoveInstance]:
-    """Reference kink sites: every crossing whose two passes are adjacent."""
+    """Reference kink sites: every pair of adjacent items of one crossing, from a scan of the word."""
+    word = code.word
     return [
-        MoveInstance(R1_DELETE, positions=(min(o, u),), labels=(lab,), signs=(code.signs[lab],),
-                     over_first=o < u)
-        for lab, o, u in zip(code.labels, code.over_pos, code.under_pos) if abs(o - u) == 1
+        MoveInstance(R1_DELETE, positions=(p,), labels=(word[p].label,),
+                     signs=(code.signs[word[p].label],), over_first=word[p].kind == OVER)
+        for p in range(len(word) - 1) if word[p].label == word[p + 1].label
     ]
 
 

@@ -294,3 +294,69 @@ def test_batch_into_a_subdirectory_of_its_catalog_runs_twice(tmp_path, capsys):
         assert main(["batch", str(catalog), "--out", str(out_dir)]) == 0
         assert capsys.readouterr().out.startswith("wrote 1 report(s)")
     assert sorted(p.name for p in out_dir.iterdir()) == ["2_1.json", "summary.txt"]
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--trials"])
+def test_check_moves_rejects_a_negative_count(two_one_file, capsys, flag):
+    assert main(["check-moves", two_one_file, flag, "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be >= 0\n"
+
+
+def test_check_moves_runs_zero_steps_and_zero_trials(two_one_file, capsys):
+    assert main(["check-moves", two_one_file, "--steps", "0", "--trials", "2"]) == 0
+    assert "2 walk(s), 0 of 0 step(s) performed" in capsys.readouterr().out
+    assert main(["check-moves", two_one_file, "--trials", "0"]) == 0
+    assert "0 walk(s), 0 of 0 step(s) performed" in capsys.readouterr().out
+
+
+def test_batch_write_error_leaves_no_partial_output(tmp_path, capsys):
+    catalog = tmp_path / "codes"
+    catalog.mkdir()
+    (catalog / "a.knd").write_text("name a\n" + TWO_ONE_TEXT + "\n")
+    # a legal entry name, but too long for a file name
+    (catalog / "b.knd").write_text("name " + "b" * 300 + "\n" + FOUR_SIX_TEXT + "\n")
+    out = tmp_path / "reports"
+    assert main(["batch", str(catalog), "--out", str(out)]) == 1
+    assert "File name too long" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_batch_write_error_keeps_files_it_did_not_write(tmp_path, capsys):
+    catalog = tmp_path / "codes"
+    catalog.mkdir()
+    (catalog / "a.knd").write_text("name a\n" + TWO_ONE_TEXT + "\n")
+    out = tmp_path / "reports"
+    out.mkdir()
+    (out / "old.txt").write_text("kept\n")
+    (out / "summary.txt").mkdir()  # opening it for writing fails
+    assert main(["batch", str(catalog), "--out", str(out)]) == 1
+    assert "summary.txt" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["old.txt", "summary.txt"]
+    assert (out / "old.txt").read_text() == "kept\n"
+
+
+def test_commands_and_catalog_name_unnamed_blocks_alike(tmp_path, capsys):
+    (tmp_path / "two.knd").write_text(TWO_ONE_TEXT + "\n---\n" + FOUR_SIX_TEXT + "\n")
+    (tmp_path / "one.knd").write_text(FIVE_NINETEEN_TEXT + "\n")
+    assert main(["compute", str(tmp_path / "two.knd")]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("name: ")] == [
+        "name: two.0", "name: two.1",
+    ]
+    assert main(["compute", str(tmp_path / "one.knd"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "one"
+    assert main(["catalog-summary", str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["one", "two.0", "two.1"]
+
+
+def test_commands_and_catalog_refuse_a_multiknotoid_block_alike(tmp_path, capsys):
+    path = tmp_path / "mixed.knd"
+    path.write_text("segment: Ob\ncircle: Ub\n; b=+1\n")
+    message = f"error: {path}: block 0 is a multi-knotoid; a knotoid code is required\n"
+    for argv in (["compute", str(path)], ["bound", str(path)], ["catalog-summary", str(tmp_path)],
+                 ["batch", str(tmp_path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()

@@ -163,6 +163,12 @@ NOT_A_CODE = "result is not a valid code: "
     (dataclasses.replace(KINK, gaps=(-1,)), "gap out of range"),
     (dataclasses.replace(KINK, gaps=(5,)), "gap out of range"),
     (dataclasses.replace(BIGON, gaps=(0, 5)), "gap out of range"),
+    *[(dataclasses.replace(move, signs=("1",)), NOT_A_CODE + f"sign of {move.labels[0]!r} must be")
+      for move in (KINK, BIGON)],
+    *[(dataclasses.replace(move, gaps=move.gaps[:-1] + (gap,)), "malformed")
+      for move in (KINK, BIGON) for gap in ("1", 1.0, True)],
+    (dataclasses.replace(KINK, labels=(5,)), "malformed"),
+    (dataclasses.replace(BIGON, labels=("x", None)), "malformed"),
 ])
 def test_malformed_insertions_raise_illegal_move(move, message):
     code = two_one()
@@ -334,6 +340,19 @@ def test_apply_matches_generate_and_test_on_every_code_up_to_3(n):
         assert enumerate_moves(code) == legal, serialize(code)
 
 
+def test_sites_match_reference_on_every_code_of_4():
+    codes = sites = 0
+    for code in every_code(4):
+        listed = r1_delete_sites(code) + r2_delete_sites(code) + r3_sites(code)
+        assert listed == (reference_r1_delete_sites(code) + reference_r2_delete_sites(code)
+                          + reference_r3_sites(code)), serialize(code)
+        for move in listed:
+            assert outcome(apply, code, move) == outcome(reference_apply, code, move), move
+        codes += 1
+        sites += len(listed)
+    assert (codes, sites) == (26880, 33120)
+
+
 def assert_moves_invert(code, listed):
     """Each listed move, deletions included, is undone by its inverse.
 
@@ -341,7 +360,7 @@ def assert_moves_invert(code, listed):
     realizable code; there the inverse rewrite restores the code but, its
     result being virtual, is not a move.
     """
-    realizable = planar.trace_faces(code).euler_characteristic() == 2
+    realizable = planar.trace_faces(code).realizable
     for move in listed:
         stepped = apply(code, move)
         if realizable:

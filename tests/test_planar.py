@@ -14,6 +14,7 @@ from knotoid_casson.planar import (
     all_loop_classes,
     build_planar_map,
     dual_arc,
+    trace_faces,
 )
 from knotoid_casson.skew import casson_homological
 
@@ -35,13 +36,14 @@ from support import (
 
 def test_two_one_map_counts():
     pm = build_planar_map(two_one())
-    assert (pm.num_vertices, pm.num_edges, pm.num_faces) == (4, 5, 3)
-    assert pm.euler_characteristic() == 2
+    assert (pm.num_edges, pm.num_faces) == (5, 3)
+    assert pm.realizable
 
 
 def test_trivial_map():
     pm = build_planar_map(parse_knotoid_code(""))
-    assert (pm.num_vertices, pm.num_edges, pm.num_faces) == (2, 1, 1)
+    assert (pm.num_edges, pm.num_faces) == (1, 1)
+    assert pm.realizable
     assert pm.leg_face == pm.head_face
 
 
@@ -62,6 +64,29 @@ def test_nonrealizable_signed_variant():
     assert exc.value.genus == 1
     with pytest.raises(NonRealizableError):
         all_loop_classes(parse_knotoid_code("Oa Ub Ua Ob ; a=+1 b=-1"))
+
+
+@pytest.mark.parametrize("text, genus", [
+    ("Oa Ub Ua Ob ; a=+1 b=-1", 1),
+    ("Oc5 Uc1 Oc4 Oc3 Uc4 Uc6 Uc2 Uc3 Oc1 Oc2 Oc6 Uc5 ; c5=-1 c1=+1 c4=-1 c3=+1 c6=-1 c2=+1", 2),
+    ("Uc6 Uc5 Uc4 Oc6 Oc2 Oc5 Oc3 Oc1 Uc3 Uc1 Uc2 Oc4 ; c6=+1 c5=-1 c4=+1 c2=-1 c3=-1 c1=-1", 3),
+])
+def test_nonrealizable_error_names_the_euler_characteristic(text, genus):
+    code = parse_knotoid_code(text)
+    assert not trace_faces(code).realizable
+    with pytest.raises(NonRealizableError) as exc:
+        build_planar_map(code)
+    assert str(exc.value) == f"code has no spherical diagram (Euler characteristic {2 - 2 * genus})"
+    assert exc.value.genus == genus
+
+
+def test_an_end_edge_has_its_end_face_on_both_sides():
+    # an endpoint has one dart, so the face around it runs along both sides of its edge
+    for code in [*named_fixtures().values(), generate_family(3), parse_knotoid_code("")]:
+        pm = build_planar_map(code)
+        last = pm.num_edges - 1
+        assert pm.face(0, 0) == pm.face(0, 1) == pm.leg_face
+        assert pm.face(last, 0) == pm.face(last, 1) == pm.head_face
 
 
 def test_endpoint_faces_two_one_distinct():
