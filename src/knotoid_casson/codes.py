@@ -61,7 +61,7 @@ class Item:
     def __post_init__(self) -> None:
         if self.kind not in (OVER, UNDER):
             raise CodeValidationError(f"item kind must be O or U, got {self.kind!r}")
-        if not _LABEL_RE.fullmatch(self.label):
+        if not isinstance(self.label, str) or not _LABEL_RE.fullmatch(self.label):
             raise CodeValidationError(f"bad crossing label {self.label!r}")
 
     def flipped(self) -> "Item":

@@ -12,20 +12,38 @@ taken as reference:
     sign +1:  (over-out, under-out, over-in, under-in)
     sign -1:  (over-out, under-in, over-in, under-out)
 
-Faces are the orbits of dart -> rotation-predecessor(reversed dart); the
-orbit of a dart is the face on its left (``PlanarMap.face``).  The code
+Faces are the orbits of the face permutation d -> rotation-predecessor(d ^ 1);
+the orbit of a dart is the face on its left (``PlanarMap.face``).  The code
 admits a spherical diagram exactly when V - E + F = 2, which for n
 crossings means F = n+1 (``PlanarMap.realizable``); otherwise the code is
 virtual and only the integer invariants apply.
 
 For a realizable code, removing small disks around the two endpoints puts
 the diagram in an annulus.  The homology class of a crossing loop is its
-algebraic intersection number with a dual arc from the face at the end to
-the face at the beginning: +1 each time the loop edge is crossed right to
-left, -1 left to right.  The class is independent of the chosen dual path;
-breadth-first search with smallest-edge tie-breaking keeps reports stable.
-Under this convention the loop of crossing a in "Oa Ub Ua Ob; a=b=+1" has
-class +1 (the calibration pinned by the test suite).
+algebraic intersection number with a dual path from the face at the end to
+the face at the beginning: +1 where the path crosses a loop edge from its
+right to its left, -1 from left to right.  Two such paths differ by a
+closed curve, which meets the closed loop zero times algebraically, so any
+path will do.  Under this convention the loop of crossing a in
+"Oa Ub Ua Ob; a=b=+1" has class +1 (the calibration pinned by the tests).
+
+``all_loop_classes`` takes the diagram's left push-off, run from the head
+back to the leg.  It is a dual path: it starts in the face at the end
+(which runs along both sides of the last edge), keeps to the face on the
+left of the edge it follows, ends in the face at the beginning, and
+crosses the other strand once at each pass.  Put the over strand running
+east: by the rotation convention the under strand runs north at sign +1
+and south at sign -1.  Read from head to leg, with o and u the positions
+of the over and under pass (edge p enters position p, edge p+1 leaves it):
+
+    sign +1, under strand northward:
+        over pass, north of it: crosses edge u+1 westward, right to left, +1
+        under pass, west of it: crosses edge o southward, left to right, -1
+    sign -1, under strand southward:
+        over pass, north of it: crosses edge u westward, left to right, -1
+        under pass, east of it: crosses edge o+1 northward, right to left, +1
+
+``dual_arc`` is a shortest dual path, kept as a second, independent path.
 """
 
 from __future__ import annotations
@@ -63,11 +81,11 @@ class DualArc:
 
 @dataclass(frozen=True, eq=False)
 class PlanarMap:
-    """The face record of any knotoid code, realizable or not: the faces
-    (dart orbits), the face of every dart, and the faces at the endpoints."""
+    """The face record of any knotoid code, realizable or not: the number of
+    faces, the face of every dart, and the faces at the endpoints."""
 
     code: KnotoidCode
-    faces: tuple[tuple[int, ...], ...]
+    num_faces: int
     dart_face: tuple[int, ...]
     leg_face: int
     head_face: int
@@ -77,13 +95,9 @@ class PlanarMap:
         return len(self.code.word) + 1
 
     @property
-    def num_faces(self) -> int:
-        return len(self.faces)
-
-    @property
     def realizable(self) -> bool:
         """Whether the code has a spherical diagram: F = n + 1, i.e. V - E + F = 2."""
-        return len(self.faces) == self.code.n_crossings + 1
+        return self.num_faces == self.code.n_crossings + 1
 
     def face(self, edge: int, side: int) -> int:
         """The face on one side of an edge: side 0 is its left, side 1 its right."""
@@ -92,40 +106,32 @@ class PlanarMap:
 
 def trace_faces(code: KnotoidCode) -> PlanarMap:
     """Trace the rotation system forced by the signs, realizable or not."""
-    num_edges = len(code.word) + 1
-    prev_ccw = list(range(2 * num_edges))  # an endpoint's one dart precedes itself
+    last = 2 * len(code.word) + 1  # the backward dart of the last edge
+    # nxt[d ^ 1] is the dart before d counterclockwise; an endpoint's one dart precedes itself
+    nxt = [0] * (last + 1)
+    nxt[1], nxt[last ^ 1] = 0, last
     signs = code.signs
     for label, over, under in zip(code.labels, code.over_pos, code.under_pos):
         over_in, over_out = 2 * over + 1, 2 * over + 2
         under_in, under_out = 2 * under + 1, 2 * under + 2
         if signs[label] > 0:  # counterclockwise: over_out, under_out, over_in, under_in
-            prev_ccw[over_out], prev_ccw[under_out] = under_in, over_out
-            prev_ccw[over_in], prev_ccw[under_in] = under_out, over_in
+            nxt[over_out ^ 1], nxt[under_out ^ 1] = under_in, over_out
+            nxt[over_in ^ 1], nxt[under_in ^ 1] = under_out, over_in
         else:  # counterclockwise: over_out, under_in, over_in, under_out
-            prev_ccw[over_out], prev_ccw[under_in] = under_out, over_out
-            prev_ccw[over_in], prev_ccw[under_out] = under_in, over_in
+            nxt[over_out ^ 1], nxt[under_in ^ 1] = under_out, over_out
+            nxt[over_in ^ 1], nxt[under_out ^ 1] = under_in, over_in
 
-    dart_face = [-1] * (2 * num_edges)
-    faces: list[tuple[int, ...]] = []
-    for start in range(2 * num_edges):
-        if dart_face[start] != -1:
-            continue
-        face = len(faces)
-        orbit = []
-        d = start
-        while dart_face[d] == -1:
-            dart_face[d] = face
-            orbit.append(d)
-            d = prev_ccw[d ^ 1]
-        faces.append(tuple(orbit))
+    dart_face = [-1] * (last + 1)
+    num_faces = 0
+    for start in range(last + 1):
+        if dart_face[start] < 0:
+            d = start
+            while dart_face[d] < 0:
+                dart_face[d] = num_faces
+                d = nxt[d]
+            num_faces += 1
     # the endpoints' single darts: forward dart of edge 0, backward dart of the last edge
-    return PlanarMap(
-        code=code,
-        faces=tuple(faces),
-        dart_face=tuple(dart_face),
-        leg_face=dart_face[0],
-        head_face=dart_face[2 * num_edges - 1],
-    )
+    return PlanarMap(code, num_faces, tuple(dart_face), dart_face[0], dart_face[last])
 
 
 def build_planar_map(code: KnotoidCode) -> PlanarMap:
@@ -145,20 +151,21 @@ def dual_arc(pmap: PlanarMap) -> DualArc:
     """Shortest dual path from the end face to the beginning face.
 
     Breadth-first over faces, neighbor edges scanned in increasing index,
-    so the arc is deterministic.  Any dual path yields the same loop
-    classes; this one keeps reports stable.  A face's neighbors are read
-    off its own darts only when the search reaches it: the face on the
-    left of dart d borders the face on the left of d ^ 1 across edge d >> 1,
-    and sorting its darts sorts its edges.
+    so the arc is deterministic.  The face on the left of dart d borders
+    the face on the left of d ^ 1 across edge d >> 1, so a face's neighbors
+    are read off its own darts, grouped here in increasing order.
     """
     dart_face = pmap.dart_face
+    darts: list[list[int]] = [[] for _ in range(pmap.num_faces)]
+    for d, f in enumerate(dart_face):
+        darts[f].append(d)
     # face -> the dart, in the face the search came from, whose edge it crossed;
     # a face's entry never changes once found, so the search stops at the leg face
     entered: dict[int, int] = {pmap.head_face: -1}
     queue = deque([pmap.head_face])
     while pmap.leg_face not in entered:
         f = queue.popleft()
-        for d in sorted(pmap.faces[f]):
+        for d in darts[f]:
             g = dart_face[d ^ 1]
             if g not in entered:
                 entered[g] = d
@@ -177,12 +184,17 @@ def dual_arc(pmap: PlanarMap) -> DualArc:
 def all_loop_classes(code: KnotoidCode) -> dict[str, tuple[int]]:
     """Loop classes of every crossing; raises NonRealizableError on virtual codes.
 
-    A loop's class is the dual arc's weight on the edges of its sub-path,
-    read off a prefix sum over the edges: O(n) for all crossings.
+    The weights of the push-off (module docstring) on the edges, summed
+    over each loop's sub-path by a prefix sum: O(n) for all crossings.
     """
+    build_planar_map(code)
     weights = [0] * (len(code.word) + 1)
-    for e, d in dual_arc(build_planar_map(code)).steps:
-        weights[e] += d
+    signs = code.signs
+    for label, over, under in zip(code.labels, code.over_pos, code.under_pos):
+        # the over pass puts the sign on edge u+1 or u, the under pass its negative on o or o+1
+        sign = signs[label]
+        weights[under + (sign > 0)] += sign
+        weights[over + (sign < 0)] -= sign
     # upto[e] = total weight of the edges up to and including edge e
     upto = list(accumulate(weights))
     return {

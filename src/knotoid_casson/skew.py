@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping, NamedTuple
 
-from .codes import OVER, KnotoidCode
+from .codes import KnotoidCode
 from .homology import HomologyClass, ModuleElement, Subgroup, as_class, hermite_normal_form
 
 UPPER = "upper"
@@ -36,18 +36,15 @@ class CassonValues(NamedTuple):
 
 def skew_pairs(code: KnotoidCode) -> tuple[list[SkewPair], list[SkewPair]]:
     """All upper and lower skew pairs, ordered by their pattern positions."""
-    pos = code.positions()
+    pos, signs = code.positions(), code.signs
     upper: list[tuple[tuple[int, int], SkewPair]] = []
     lower: list[tuple[tuple[int, int], SkewPair]] = []
     for x, (xo, xu) in pos.items():
-        for y, (yo, yu) in pos.items():
-            if x == y:
-                continue
-            s = code.signs[x] * code.signs[y]
+        for y, (yo, yu) in pos.items():  # both patterns are strict, so y == x never matches
             if xo < yu < xu < yo:
-                upper.append(((xo, yu), SkewPair(x, y, UPPER, s)))
+                upper.append(((xo, yu), SkewPair(x, y, UPPER, signs[x] * signs[y])))
             elif xu < yo < xo < yu:
-                lower.append(((xu, yo), SkewPair(x, y, LOWER, s)))
+                lower.append(((xu, yo), SkewPair(x, y, LOWER, signs[x] * signs[y])))
     upper.sort(key=lambda t: t[0])
     lower.sort(key=lambda t: t[0])
     return [p for _, p in upper], [p for _, p in lower]
@@ -63,41 +60,54 @@ def _skew_sums(
     A crossing is a chord between its two passes; it is *over-first* when
     its over pass comes first in the word.  Every skew pair is one
     over-first and one under-first chord that interleave: upper when the
-    over-first chord starts first, lower otherwise.  Chords of one kind are
-    never skew.  So one left-to-right walk finds every pair.  The open
-    chords of each kind and key are two bitmasks of their start positions,
-    one for positive and one for negative chords.  Every chord open at a
-    chord's end started before it, so the open chords of the other kind
-    that started inside its span are the mask bits above its start: a
-    shift and a popcount per mask.  O(n K) operations on integers of at
-    most 2n bits for K distinct keys; labels without a key take no part.
+    over-first chord starts first, lower otherwise.  So one left-to-right
+    walk finds every pair.  The open chords of each kind and key are two
+    bitmasks of their start positions, for positive and negative chords.
+    The open chords of the other kind that started inside a chord's span
+    when it ends are the mask bits above its start: a shift and a popcount
+    per mask, skipped when no chord of the other kind started inside it.
+    O(n K) operations on integers of at most 2n bits for K distinct keys,
+    over arrays built once per chord; labels without a key take no part,
+    and ``signs`` are +1 or -1.
     """
-    begins: dict[str, int] = {}
-    # open chords by kind (0: over-first, 1: under-first), then by key: [plus, minus]
-    masks: tuple[dict[Hashable, list[int]], dict[Hashable, list[int]]] = ({}, {})
-    sums: dict[tuple[str, Hashable, Hashable], int] = {}
-    for pos, item in enumerate(code.word):
-        label = item.label
-        if label not in keys:
+    ids: dict[Hashable, int] = {}
+    # at each word position, the start of its chord (-1 for a crossing without
+    # a key) and the chord's mask: 4 * key id + 2 * kind (1: under-first) + negative
+    start_at = [-1] * len(code.word)
+    mask_at = [0] * len(code.word)
+    for label, over, under in zip(code.labels, code.over_pos, code.under_pos):
+        if label in keys:
+            kind = 1 if under < over else 0
+            start_at[over] = start_at[under] = under if kind else over
+            mask = 4 * ids.setdefault(keys[label], len(ids)) + 2 * kind + (signs[label] < 0)
+            mask_at[over] = mask_at[under] = mask
+    num_keys = len(ids)
+    masks = [0] * (4 * num_keys)
+    open_of_kind = [0, 0]  # every open chord of each kind, whatever its key and sign
+    # the positive masks of the kind other than the index
+    masks_of_other = (range(2, 4 * num_keys, 4), range(0, 4 * num_keys, 4))
+    # (2 * key id + kind of the ending chord) * num_keys + key id of the other -> sum
+    counts: dict[int, int] = {}
+    for pos, (start, mask) in enumerate(zip(start_at, mask_at)):
+        if start < 0:
             continue
-        key, sign = keys[label], signs[label]
-        begin = begins.pop(label, None)
-        if begin is None:
-            begins[label] = pos
-            by_key = masks[item.kind != OVER]
-            if key not in by_key:
-                by_key[key] = [0, 0]
-            by_key[key][sign < 0] |= 1 << pos
+        kind, bit = mask >> 1 & 1, 1 << start
+        masks[mask] ^= bit  # opens the chord at its start, closes it at its end
+        open_of_kind[kind] ^= bit
+        if start == pos or not open_of_kind[1 - kind] >> start:
             continue
-        # a chord that ends on its over pass is under-first
-        kind = item.kind == OVER
-        masks[kind][key][sign < 0] ^= 1 << begin
-        pair_kind = LOWER if kind else UPPER
-        for other_key, (plus, minus) in masks[not kind].items():
-            count = (plus >> begin).bit_count() - (minus >> begin).bit_count()
+        sign, row = -1 if mask & 1 else 1, (mask >> 1) * num_keys
+        for other in masks_of_other[kind]:
+            count = (masks[other] >> start).bit_count() - (masks[other + 1] >> start).bit_count()
             if count:
-                slot = (pair_kind, key, other_key)
-                sums[slot] = sums.get(slot, 0) + sign * count
+                slot = row + (other >> 2)
+                counts[slot] = counts.get(slot, 0) + sign * count
+    key_of = list(ids)
+    sums: dict[tuple[str, Hashable, Hashable], int] = {}
+    for slot, total in counts.items():
+        row, other = divmod(slot, num_keys)
+        # a chord that ends under-first closes a lower pair
+        sums[LOWER if row & 1 else UPPER, key_of[row >> 1], key_of[other]] = total
     return sums
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import replace
@@ -50,7 +51,6 @@ from knotoid_casson.planar import (
     NonRealizableError,
     PlanarMap,
     build_planar_map,
-    dual_arc,
 )
 from knotoid_casson.skew import CassonValues, skew_pairs
 
@@ -97,6 +97,17 @@ def random_code(rng: random.Random, n_crossings: int) -> KnotoidCode:
     return KnotoidCode(tuple(items), signs)
 
 
+def every_code(n):
+    """Every code of n crossings up to relabeling (labels in order of first occurrence)."""
+    labels = [f"c{i}" for i in range(n)]
+    items = [Item(kind, lab) for lab in labels for kind in (OVER, UNDER)]
+    for word in itertools.permutations(items):
+        if list(dict.fromkeys(it.label for it in word)) != labels:
+            continue
+        for signs in itertools.product((1, -1), repeat=n):
+            yield KnotoidCode(word, dict(zip(labels, signs)))
+
+
 def random_realizable_code(rng: random.Random, n_crossings: int, max_tries: int = 500):
     for _ in range(max_tries):
         code = random_code(rng, n_crossings)
@@ -139,6 +150,40 @@ def canonical_relabel(code: KnotoidCode) -> KnotoidCode:
         mapping.setdefault(it.label, f"l{len(mapping)}")
     word = tuple(Item(it.kind, mapping[it.label]) for it in code.word)
     return KnotoidCode(word, {mapping[lab]: s for lab, s in code.signs.items()})
+
+
+def reference_trace_faces(code: KnotoidCode) -> PlanarMap:
+    """Reference face tracing: the rotation-predecessor table, then every face
+    as an orbit tuple of darts, numbered in order of its smallest dart."""
+    num_edges = len(code.word) + 1
+    prev_ccw = list(range(2 * num_edges))  # an endpoint's one dart precedes itself
+    for label, (over, under) in code.positions().items():
+        over_in, over_out = 2 * over + 1, 2 * over + 2
+        under_in, under_out = 2 * under + 1, 2 * under + 2
+        if code.signs[label] > 0:  # counterclockwise: over_out, under_out, over_in, under_in
+            order = (over_out, under_out, over_in, under_in)
+        else:  # counterclockwise: over_out, under_in, over_in, under_out
+            order = (over_out, under_in, over_in, under_out)
+        for k, dart in enumerate(order):
+            prev_ccw[dart] = order[k - 1]
+    faces: list[tuple[int, ...]] = []
+    dart_face: dict[int, int] = {}
+    for start in range(2 * num_edges):
+        if start in dart_face:
+            continue
+        orbit = [start]
+        while (d := prev_ccw[orbit[-1] ^ 1]) != start:
+            orbit.append(d)
+        for d in orbit:
+            dart_face[d] = len(faces)
+        faces.append(tuple(orbit))
+    return PlanarMap(
+        code=code,
+        num_faces=len(faces),
+        dart_face=tuple(dart_face[d] for d in range(2 * num_edges)),
+        leg_face=dart_face[0],
+        head_face=dart_face[2 * num_edges - 1],
+    )
 
 
 def all_simple_dual_paths(pmap: PlanarMap) -> list[tuple[ArcStep, ...]]:
@@ -218,10 +263,11 @@ def loop_edges(code: KnotoidCode, label: str) -> tuple[int, ...]:
 
 
 def loop_class_along(pmap: PlanarMap, steps, label: str) -> int:
-    weights: dict[int, int] = {}
+    weights = [0] * pmap.num_edges
     for e, d in steps:
-        weights[e] = weights.get(e, 0) + d
-    return sum(weights.get(e, 0) for e in loop_edges(pmap.code, label))
+        weights[e] += d
+    edges = loop_edges(pmap.code, label)
+    return sum(weights[edges[0]:edges[-1] + 1])
 
 
 @st.composite
@@ -236,13 +282,9 @@ def code_strategy(draw, min_crossings: int = 0, max_crossings: int = 6) -> Knoto
     return KnotoidCode(word, signs)
 
 
-@st.composite
-def realizable_code_strategy(draw, max_crossings: int = 40) -> KnotoidCode:
-    """Realizable codes up to ``max_crossings``: a product of sharpness-family
-    members and small random realizable factors (each possibly mirrored),
-    then a seeded Reidemeister walk that stays within the size."""
-    rng = draw(st.randoms(use_true_random=False))
-    target = draw(st.integers(0, max_crossings))
+def random_product(rng: random.Random, target: int) -> KnotoidCode:
+    """A realizable product of exactly ``target`` crossings: sharpness-family
+    members and small random realizable factors, each possibly mirrored."""
     code = KnotoidCode((), {})
     while code.n_crossings < target:
         room = target - code.n_crossings
@@ -253,6 +295,16 @@ def realizable_code_strategy(draw, max_crossings: int = 40) -> KnotoidCode:
         if rng.random() < 0.5:
             factor = mirror(factor)
         code = concat_product(code, factor) if rng.random() < 0.5 else concat_product(factor, code)
+    return code
+
+
+@st.composite
+def realizable_code_strategy(draw, max_crossings: int = 40) -> KnotoidCode:
+    """Realizable codes up to ``max_crossings``: a product of sharpness-family
+    members and small random realizable factors (each possibly mirrored),
+    then a seeded Reidemeister walk that stays within the size."""
+    rng = draw(st.randoms(use_true_random=False))
+    code = random_product(rng, draw(st.integers(0, max_crossings)))
     steps = draw(st.integers(0, 20))
     for _, reached in iter_walk(code, steps, rng.randrange(10**6)):
         if reached.n_crossings > max_crossings:
@@ -261,31 +313,37 @@ def realizable_code_strategy(draw, max_crossings: int = 40) -> KnotoidCode:
     return code
 
 
-def reference_casson_homological(code: KnotoidCode, classes) -> tuple[ModuleElement, ModuleElement]:
-    """Reference CH+/CH-: list the skew pairs and add one subgroup per pair."""
+def reference_casson_homological(
+    code: KnotoidCode, classes, pairs=None
+) -> tuple[ModuleElement, ModuleElement]:
+    """Reference CH+/CH-: list the skew pairs (or take ``pairs``, the listing
+    already made) and add one subgroup per pair."""
     normalized = {lab: as_class(value) for lab, value in classes.items()}
+    named: dict[tuple, Subgroup] = {}
 
     def accumulate(pairs) -> ModuleElement:
-        total = ModuleElement.zero()
+        terms: dict[Subgroup, int] = {}
         for p in pairs:
             for lab in (p.first, p.second):
                 if lab not in normalized:
                     raise KeyError(f"no homology class for crossing {lab!r}")
-            sub = Subgroup.generated_by(normalized[p.first], normalized[p.second])
-            total = total + ModuleElement.single(sub, p.sign)
-        return total
+            gens = (normalized[p.first], normalized[p.second])
+            if gens not in named:
+                named[gens] = Subgroup.generated_by(*gens)
+            terms[named[gens]] = terms.get(named[gens], 0) + p.sign
+        return ModuleElement(terms)
 
-    upper, lower = skew_pairs(code)
+    upper, lower = skew_pairs(code) if pairs is None else pairs
     return accumulate(upper), accumulate(lower)
 
 
 def reference_report(code: KnotoidCode, name: str = "") -> InvariantReport:
-    """``full_report`` rebuilt from listed skew pairs and per-label loop sums."""
+    """``full_report`` rebuilt from listed skew pairs and per-label sums along
+    the reference arc of the reference face tracing."""
     upper, lower = skew_pairs(code)
     values = CassonValues(sum(p.sign for p in upper), sum(p.sign for p in lower))
-    try:
-        pmap = build_planar_map(code)
-    except NonRealizableError:
+    pmap = reference_trace_faces(code)
+    if not pmap.realizable:
         return InvariantReport(
             name=name,
             c_plus=values.c_plus,
@@ -297,9 +355,9 @@ def reference_report(code: KnotoidCode, name: str = "") -> InvariantReport:
             properness=properness_certificate(values),
             diagram_crossings=code.n_crossings,
         )
-    steps = dual_arc(pmap).steps
+    steps = reference_dual_arc_steps(pmap)
     classes = {lab: loop_class_along(pmap, steps, lab) for lab in code.labels}
-    ch_plus, ch_minus = reference_casson_homological(code, classes)
+    ch_plus, ch_minus = reference_casson_homological(code, classes, (upper, lower))
     return InvariantReport(
         name=name,
         c_plus=values.c_plus,

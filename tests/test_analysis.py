@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from knotoid_casson import planar
 from knotoid_casson.analysis import (
     INCONCLUSIVE,
     PROPER_BY_C,
@@ -35,6 +36,8 @@ from support import (
     code_strategy,
     five_nineteen,
     four_six,
+    named_fixtures,
+    random_product,
     random_realizable_code,
     realizable_code_strategy,
     reference_report,
@@ -160,6 +163,25 @@ def test_full_report_matches_reference_on_realizable_up_to_40(code):
     report = full_report(code, "r")
     assert not report.is_virtual
     assert report.to_json_dict() == reference_report(code, "r").to_json_dict()
+
+
+def test_full_report_matches_reference_above_the_hypothesis_range():
+    # the sharpness family up to 256 crossings (listing its j^2 skew pairs is the
+    # cost, so every j only up to 32), then seeded products of 41 to 200 crossings
+    codes = [generate_family(j) for j in [*range(1, 33), 48, 64, 96, 128]]
+    rng = random.Random(4111)
+    codes += [random_product(rng, rng.randint(41, 200)) for _ in range(40)]
+    for code in codes:
+        assert full_report(code, "c").to_json_dict() == reference_report(code, "c").to_json_dict()
+
+
+def test_full_report_never_builds_the_dual_arc(monkeypatch):
+    def refuse(pmap):
+        raise AssertionError("full_report called dual_arc")
+
+    monkeypatch.setattr(planar, "dual_arc", refuse)
+    for code in [*named_fixtures().values(), generate_family(8)]:
+        full_report(code)
 
 
 def test_full_report_two_one():

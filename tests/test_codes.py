@@ -316,6 +316,13 @@ def test_multiknotoid_label_split_invariant():
         MultiKnotoidCode((Item(OVER, "a"),), ((Item(OVER, "a"),),), {"a": 1})
 
 
+@pytest.mark.parametrize("label", [5, None, b"a", ("a",)])
+def test_item_label_must_be_a_str(label):
+    with pytest.raises(CodeValidationError) as exc:
+        Item(OVER, label)
+    assert str(exc.value) == f"bad crossing label {label!r}"
+
+
 @pytest.mark.parametrize("sign", [1.0, True, -1.0, 2, "1", None])
 def test_signs_must_be_the_ints_plus_and_minus_one(sign):
     message = f"sign of 'a' must be +1 or -1, got {sign!r}"

@@ -1,7 +1,6 @@
 """Move rewriting: site detection, application, inverses, invariance, walks."""
 
 import dataclasses
-import itertools
 import random
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from knotoid_casson import moves, planar
 from knotoid_casson.analysis import full_report, generate_family
-from knotoid_casson.codes import OVER, UNDER, Item, KnotoidCode, concat_product, parse_knotoid_code, serialize
+from knotoid_casson.codes import concat_product, parse_knotoid_code, serialize
 from knotoid_casson.moves import (
     IllegalMoveError,
     MoveInstance,
@@ -31,6 +30,7 @@ from knotoid_casson.moves import (
 from knotoid_casson.skew import casson_pm
 from support import (
     code_strategy,
+    every_code,
     move_candidates,
     named_fixtures,
     plant_bigon,
@@ -291,17 +291,6 @@ def test_random_walk_on_random_realizable_codes():
 
 
 # --- legality from faces against generate-and-test -----------------------------
-
-
-def every_code(n):
-    """Every code of n crossings up to relabeling (labels in order of first occurrence)."""
-    labels = [f"c{i}" for i in range(n)]
-    items = [Item(kind, lab) for lab in labels for kind in (OVER, UNDER)]
-    for word in itertools.permutations(items):
-        if list(dict.fromkeys(it.label for it in word)) != labels:
-            continue
-        for signs in itertools.product((1, -1), repeat=n):
-            yield KnotoidCode(word, dict(zip(labels, signs)))
 
 
 def outcome(fn, code, move):

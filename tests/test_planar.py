@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from knotoid_casson.analysis import generate_family
 from knotoid_casson.codes import mirror, parse_knotoid_code, read_code_blocks
@@ -21,6 +22,8 @@ from knotoid_casson.skew import casson_homological
 from support import (
     FIXTURES,
     all_simple_dual_paths,
+    code_strategy,
+    every_code,
     five_nineteen,
     four_six,
     loop_class_along,
@@ -30,6 +33,7 @@ from support import (
     random_realizable_code,
     realizable_code_strategy,
     reference_dual_arc_steps,
+    reference_trace_faces,
     two_one,
 )
 
@@ -78,6 +82,21 @@ def test_nonrealizable_error_names_the_euler_characteristic(text, genus):
         build_planar_map(code)
     assert str(exc.value) == f"code has no spherical diagram (Euler characteristic {2 - 2 * genus})"
     assert exc.value.genus == genus
+
+
+def face_record(pm):
+    return pm.num_faces, pm.dart_face, pm.leg_face, pm.head_face
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_trace_faces_matches_reference_on_every_code_up_to_3(n):
+    for code in every_code(n):
+        assert face_record(trace_faces(code)) == face_record(reference_trace_faces(code)), code
+
+
+@given(st.one_of(code_strategy(max_crossings=40), realizable_code_strategy(max_crossings=40)))
+def test_trace_faces_matches_reference_up_to_40(code):
+    assert face_record(trace_faces(code)) == face_record(reference_trace_faces(code))
 
 
 def test_an_end_edge_has_its_end_face_on_both_sides():
