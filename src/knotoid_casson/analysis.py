@@ -16,11 +16,9 @@ modulo that symmetry.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .codes import (
     CodeError,
@@ -43,8 +41,7 @@ INCONCLUSIVE = "Inconclusive"
 VIRTUAL = "virtual"
 
 
-@dataclass(frozen=True, eq=False)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     name: str
     c_plus: int
     c_minus: int
@@ -75,7 +72,10 @@ class InvariantReport:
 
 def crossing_lower_bound(ch_plus: ModuleElement, ch_minus: ModuleElement) -> int:
     """Least n >= 0 with floor(n^2/4) >= |ch_plus| + |ch_minus|."""
-    norm_sum = ch_plus.norm() + ch_minus.norm()
+    return _bound_for_norm_sum(ch_plus.norm() + ch_minus.norm())
+
+
+def _bound_for_norm_sum(norm_sum: int) -> int:
     # floor(n^2/4) >= t for an integer t >= 1 exactly when n^2 >= 4t, so n = ceil(sqrt(4t))
     return 0 if norm_sum == 0 else math.isqrt(4 * norm_sum - 1) + 1
 
@@ -137,7 +137,7 @@ def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
         ch_plus, ch_minus = map(ModuleElement, _subgroup_sums(code, classes))
         values = CassonValues(ch_plus.total_coefficient(), ch_minus.total_coefficient())
         norm_sum = ch_plus.norm() + ch_minus.norm()
-        bound = crossing_lower_bound(ch_plus, ch_minus)
+        bound = _bound_for_norm_sum(norm_sum)
     return InvariantReport(
         name=name,
         c_plus=values.c_plus,
@@ -263,6 +263,8 @@ def evaluate_catalog(
     file text is ready before the first write; an ``OSError`` while writing
     removes the files this run wrote and propagates.
     """
+    import json  # imported only where a report is serialized, not with the package
+
     out = Path(out_dir)
     if out.resolve() == Path(directory).resolve():
         raise CodeError(f"{out}: reports cannot go into the catalog directory itself")

@@ -19,7 +19,6 @@ check-moves, which would be a library bug).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .analysis import (
@@ -60,6 +59,8 @@ def _render_report_text(report) -> str:
 def cmd_compute(args: argparse.Namespace) -> int:
     reports = [full_report(code, name) for name, code in _load_knotoids(args.file)]
     if args.json:
+        import json  # imported only where a report is serialized
+
         payload = [r.to_json_dict() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
     else:
@@ -103,6 +104,8 @@ def cmd_check_moves(args: argparse.Namespace) -> int:
 
 
 def cmd_skein(args: argparse.Namespace) -> int:
+    import json  # imported only where a report is serialized
+
     results = []
     for _name, code in _load_knotoids(args.file):
         if args.crossing is not None:

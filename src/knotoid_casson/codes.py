@@ -29,14 +29,18 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 OVER = "O"
 UNDER = "U"
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9]+'*")
-_SIGN_TOKEN_RE = re.compile(r"([A-Za-z0-9]+'*)=([+-]1)")
+# The longest prefix of an item or sign section made of valid tokens, with the
+# whitespace after them; the first bad token, if any, starts where it ends.  A
+# token must be followed by whitespace or the end, so it matches in one way
+# only, and a match takes time linear in the section.
+_ITEMS_RE = re.compile(r"(?:\s*[OU][A-Za-z0-9]+'*(?=\s|\Z))*\s*")
+_SIGNS_RE = re.compile(r"(?:\s*[A-Za-z0-9]+'*=[+-]1(?=\s|\Z))*\s*")
 
 
 class CodeError(ValueError):
@@ -51,21 +55,33 @@ class CodeValidationError(CodeError):
     """Well-formed text whose content violates a code invariant."""
 
 
-@dataclass(frozen=True)
-class Item:
-    """One pass through a crossing: over/under kind plus the crossing label."""
+# an item from fields already known to be valid, without the checks of Item(kind, label)
+_new_item = tuple.__new__
 
+
+class _ItemFields(NamedTuple):
+    # a NamedTuple class body may not define __new__, so Item adds its checks in a subclass
     kind: str
     label: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in (OVER, UNDER):
-            raise CodeValidationError(f"item kind must be O or U, got {self.kind!r}")
-        if not isinstance(self.label, str) or not _LABEL_RE.fullmatch(self.label):
-            raise CodeValidationError(f"bad crossing label {self.label!r}")
+
+class Item(_ItemFields):
+    """One pass through a crossing: over/under kind plus the crossing label.
+
+    A tuple ``(kind, label)``, so an item equals the plain tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, label: str) -> "Item":
+        if kind not in (OVER, UNDER):
+            raise CodeValidationError(f"item kind must be O or U, got {kind!r}")
+        if not isinstance(label, str) or not _LABEL_RE.fullmatch(label):
+            raise CodeValidationError(f"bad crossing label {label!r}")
+        return _new_item(cls, (kind, label))
 
     def flipped(self) -> "Item":
-        return Item(UNDER if self.kind == OVER else OVER, self.label)
+        return _new_item(Item, (UNDER if self.kind == OVER else OVER, self.label))
 
     def __str__(self) -> str:
         return self.kind + self.label
@@ -83,10 +99,12 @@ def _check_passes(
     under: dict[str, int] = {}
     first: dict[str, None] = {}
     for i, it in enumerate(items):
-        first[it.label] = None
-        (over if it.kind == OVER else under)[it.label] = i
+        # an item is the tuple (kind, label): indexing reads it fastest
+        label = it[1]
+        first[label] = None
+        (over if it[0] == OVER else under)[label] = i
     if over.keys() != under.keys() or len(items) != 2 * len(over):
-        counts = Counter((it.kind, it.label) for it in items)
+        counts = Counter(items)  # an item equals its (kind, label) tuple
         lab = min(lab for lab in first if counts[OVER, lab] != 1 or counts[UNDER, lab] != 1)
         raise CodeValidationError(
             f"label {lab!r} must occur exactly twice, once over and once under"
@@ -109,34 +127,57 @@ def _check_passes(
     return labels, tuple([over[lab] for lab in labels]), tuple([under[lab] for lab in labels])
 
 
-@dataclass(frozen=True, init=False)
-class KnotoidCode:
+class _Frozen:
+    """Instances refuse assignment; their constructors fill the slots once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class KnotoidCode(_Frozen):
     """A validated signed Gauss code of a knotoid.
 
     Immutable after construction; the empty word is the trivial knotoid.
     ``labels`` lists the crossings in order of first occurrence in the word;
     ``over_pos[i]`` and ``under_pos[i]`` are the word positions of the over
     and under pass of ``labels[i]``, computed once by the validating pass.
+    Codes are equal when their words and signs are; they hold a dict, so
+    they are not hashable.
     """
 
+    __slots__ = ("word", "signs", "labels", "over_pos", "under_pos")
     word: tuple[Item, ...]
     signs: Mapping[str, int]
-    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    over_pos: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    under_pos: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    labels: tuple[str, ...]
+    over_pos: tuple[int, ...]
+    under_pos: tuple[int, ...]
 
     def __init__(self, word: Iterable[Item], signs: Mapping[str, int]) -> None:
         word, signs = tuple(word), dict(signs)
         labels, over_pos, under_pos = _check_passes(word, signs)
-        set_field = object.__setattr__  # the class is frozen
+        set_field = object.__setattr__  # assignment is refused
         set_field(self, "word", word)
         set_field(self, "signs", signs)
         set_field(self, "labels", labels)
         set_field(self, "over_pos", over_pos)
         set_field(self, "under_pos", under_pos)
 
-    # dict field: identity-based hashing would be misleading, equality is by value
-    __hash__ = None  # type: ignore[assignment]
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word and self.signs == other.signs
+
+    def __repr__(self) -> str:
+        return f"KnotoidCode(word={self.word!r}, signs={self.signs!r})"
+
+    def __reduce__(self):
+        # pickling and copying rebuild the code, since its fields refuse assignment
+        return KnotoidCode, (self.word, self.signs)
 
     @property
     def n_crossings(self) -> int:
@@ -150,27 +191,34 @@ class KnotoidCode:
         return dict(zip(self.labels, zip(self.over_pos, self.under_pos)))
 
 
-@dataclass(frozen=True, eq=False)
-class MultiKnotoidCode:
+class MultiKnotoidCode(_Frozen):
     """Gauss code of a multi-knotoid: one open segment plus closed circles.
 
     ``labels`` lists the crossings in order of first occurrence, reading the
     segment and then each circle from its starting item.
     """
 
+    __slots__ = ("segment", "circles", "signs", "labels")
     segment: tuple[Item, ...]
     circles: tuple[tuple[Item, ...], ...]
     signs: Mapping[str, int]
-    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segment", tuple(self.segment))
-        object.__setattr__(self, "circles", tuple(tuple(c) for c in self.circles))
-        object.__setattr__(self, "signs", dict(self.signs))
-        every = list(self.segment)
-        for c in self.circles:
+    def __init__(
+        self,
+        segment: Iterable[Item],
+        circles: Iterable[Iterable[Item]],
+        signs: Mapping[str, int],
+    ) -> None:
+        segment, circles, signs = tuple(segment), tuple(tuple(c) for c in circles), dict(signs)
+        every = list(segment)
+        for c in circles:
             every.extend(c)
-        object.__setattr__(self, "labels", _check_passes(every, self.signs)[0])
+        set_field = object.__setattr__  # assignment is refused
+        set_field(self, "segment", segment)
+        set_field(self, "circles", circles)
+        set_field(self, "signs", signs)
+        set_field(self, "labels", _check_passes(every, signs)[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiKnotoidCode):
@@ -183,7 +231,12 @@ class MultiKnotoidCode:
             _cyclic_equal(a, b) for a, b in zip(self.circles, other.circles)
         )
 
-    __hash__ = None  # type: ignore[assignment]
+    def __repr__(self) -> str:
+        return (f"MultiKnotoidCode(segment={self.segment!r}, circles={self.circles!r}, "
+                f"signs={self.signs!r})")
+
+    def __reduce__(self):
+        return MultiKnotoidCode, (self.segment, self.circles, self.signs)
 
 
 def _cyclic_equal(a: tuple[Item, ...], b: tuple[Item, ...]) -> bool:
@@ -210,25 +263,23 @@ def _content_lines(text: str) -> list[str]:
 
 
 def _parse_items(text: str) -> tuple[Item, ...]:
-    items = []
-    for token in text.split():
-        try:
-            items.append(Item(token[:1], token[1:]))
-        except CodeValidationError:
-            raise CodeSyntaxError(f"bad item token {token!r}") from None
-    return tuple(items)
+    valid = _ITEMS_RE.match(text).end()
+    if valid < len(text):
+        raise CodeSyntaxError(f"bad item token {text[valid:].split(None, 1)[0]!r}")
+    # every token is a kind letter and a valid label
+    return tuple([_new_item(Item, (token[0], token[1:])) for token in text.split()])
 
 
 def _parse_signs(text: str) -> dict[str, int]:
+    valid = _SIGNS_RE.match(text).end()
     signs: dict[str, int] = {}
-    for tok in text.split():
-        m = _SIGN_TOKEN_RE.fullmatch(tok)
-        if not m:
-            raise CodeSyntaxError(f"bad sign token {tok!r}")
-        label, value = m.group(1), int(m.group(2))
+    for token in text[:valid].split():  # each is "<label>=+1" or "<label>=-1"
+        label = token[:-3]
         if label in signs:
             raise CodeValidationError(f"duplicate sign for label {label!r}")
-        signs[label] = value
+        signs[label] = 1 if token[-2] == "+" else -1
+    if valid < len(text):
+        raise CodeSyntaxError(f"bad sign token {text[valid:].split(None, 1)[0]!r}")
     return signs
 
 

@@ -10,8 +10,7 @@ trivial subgroup and is a basis element distinct from the zero sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 HomologyClass = tuple[int, ...]
 
@@ -69,8 +68,7 @@ def hermite_normal_form(rows: Iterable[Iterable[int]]) -> tuple[HomologyClass, .
     return tuple(tuple(r) for r in mat[:top])
 
 
-@dataclass(frozen=True, order=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """A subgroup of Z^k in canonical (HNF) form, ordered by (rank, basis); a basis element of M."""
 
     ambient_rank: int

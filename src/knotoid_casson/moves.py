@@ -76,8 +76,7 @@ face and joins two cycles otherwise.  Tracing T through the rotations of
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .codes import OVER, UNDER, CodeValidationError, Item, KnotoidCode, fresh_labels
 from .planar import PlanarMap, trace_faces
@@ -93,8 +92,7 @@ class IllegalMoveError(Exception):
     """The move is not at a valid site, or its rewrite is not planar."""
 
 
-@dataclass(frozen=True)
-class MoveInstance:
+class MoveInstance(NamedTuple):
     """A fully parameterized move site; carries enough data to invert itself.
 
     ``gaps`` are insertion points (indices between items), ``positions``

@@ -49,7 +49,6 @@ of the over and under pass (edge p enters position p, edge p+1 leaves it):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -74,13 +73,11 @@ class ArcStep(NamedTuple):
     direction: int  # RIGHT_TO_LEFT or LEFT_TO_RIGHT
 
 
-@dataclass(frozen=True, eq=False)
-class DualArc:
+class DualArc(NamedTuple):
     steps: tuple[ArcStep, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class PlanarMap:
+class PlanarMap(NamedTuple):
     """The face record of any knotoid code, realizable or not: the number of
     faces, the face of every dart, and the faces at the endpoints."""
 

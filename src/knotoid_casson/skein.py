@@ -23,14 +23,13 @@ is positional, so virtual codes satisfy it as well.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .codes import OVER, KnotoidCode, MultiKnotoidCode, switch_crossing
 from .skew import casson_pm
 
 
-@dataclass(frozen=True, eq=False)
-class ConwayTriple:
+class ConwayTriple(NamedTuple):
     crossing: str
     d1: KnotoidCode
     d2: KnotoidCode
@@ -73,8 +72,7 @@ def lk_pm(d0: MultiKnotoidCode, s1: int) -> tuple[int, int]:
     return s1 * lk_plus, s1 * lk_minus
 
 
-@dataclass(frozen=True)
-class SkeinReport:
+class SkeinReport(NamedTuple):
     crossing: str
     s1: int
     lhs_plus: int
@@ -84,7 +82,7 @@ class SkeinReport:
     ok: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def verify_skein(code: KnotoidCode, label: str) -> SkeinReport:

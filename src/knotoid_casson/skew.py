@@ -11,7 +11,7 @@ summing formally gives the homological refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import gcd
 from typing import Hashable, Mapping, NamedTuple
 
 from .codes import KnotoidCode
@@ -21,8 +21,7 @@ UPPER = "upper"
 LOWER = "lower"
 
 
-@dataclass(frozen=True)
-class SkewPair:
+class SkewPair(NamedTuple):
     first: str
     second: str
     kind: str
@@ -168,7 +167,19 @@ def _subgroup_sums(
     for (kind, first, second), count in _skew_sums(code, classes, code.signs).items():
         sub = subgroups.get((first, second))
         if sub is None:
-            sub = subgroups[first, second] = Subgroup(len(first), hermite_normal_form((first, second)))
+            sub = subgroups[first, second] = _pair_subgroup(first, second)
         side = terms[kind]
         side[sub] = side.get(sub, 0) + count
     return terms[UPPER], terms[LOWER]
+
+
+def _pair_subgroup(first: HomologyClass, second: HomologyClass) -> Subgroup:
+    """The subgroup generated by two classes of one rank.
+
+    In rank 1 (the annulus of a realizable code) its canonical basis is the
+    gcd: ``((g,),)``, or ``()`` when both classes are 0.
+    """
+    if len(first) == 1:
+        g = gcd(first[0], second[0])
+        return Subgroup(1, ((g,),) if g else ())
+    return Subgroup(len(first), hermite_normal_form((first, second)))

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import deque
-from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -19,6 +19,8 @@ from knotoid_casson.analysis import (
 from knotoid_casson.codes import (
     OVER,
     UNDER,
+    CodeSyntaxError,
+    CodeValidationError,
     Item,
     KnotoidCode,
     concat_product,
@@ -141,6 +143,51 @@ def brute_force_skew_pairs(code: KnotoidCode) -> tuple[set, set]:
                     elif kinds == (UNDER, OVER, OVER, UNDER):
                         lower.add((a.label, b.label))
     return upper, lower
+
+
+REFERENCE_SIGN_TOKEN = re.compile(r"([A-Za-z0-9]+'*)=([+-]1)")
+
+
+def reference_parse_items(text: str) -> tuple[Item, ...]:
+    """Reference item section: token by token, each checked by ``Item``."""
+    items = []
+    for token in text.split():
+        try:
+            items.append(Item(token[:1], token[1:]))
+        except CodeValidationError:
+            raise CodeSyntaxError(f"bad item token {token!r}") from None
+    return tuple(items)
+
+
+def reference_parse_signs(text: str) -> dict[str, int]:
+    """Reference sign section: token by token, each matched on its own."""
+    signs: dict[str, int] = {}
+    for token in text.split():
+        m = REFERENCE_SIGN_TOKEN.fullmatch(token)
+        if not m:
+            raise CodeSyntaxError(f"bad sign token {token!r}")
+        label, value = m.group(1), int(m.group(2))
+        if label in signs:
+            raise CodeValidationError(f"duplicate sign for label {label!r}")
+        signs[label] = value
+    return signs
+
+
+def reference_parse_knotoid_code(text: str) -> KnotoidCode:
+    """Reference ``parse_knotoid_code``: the sections parsed token by token."""
+    if not text.isascii():
+        raise CodeSyntaxError("code text must be ASCII")
+    lines = [line.strip() for line in text.splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    if not lines:
+        return KnotoidCode((), {})
+    if len(lines) > 1:
+        raise CodeSyntaxError("a knotoid code is a single line (use --- between blocks)")
+    parts = lines[0].split(";")
+    if len(parts) > 2:
+        raise CodeSyntaxError("more than one ';' in code line")
+    return KnotoidCode(reference_parse_items(parts[0]),
+                       reference_parse_signs(parts[1] if len(parts) == 2 else ""))
 
 
 def canonical_relabel(code: KnotoidCode) -> KnotoidCode:
@@ -465,16 +512,16 @@ def site_mutations(code: KnotoidCode, move: MoveInstance, rng: random.Random) ->
     out = []
     for i, p in enumerate(move.positions):
         for q in (p - 1, p + 1, rng.randrange(-1, length + 1)):
-            out.append(replace(move, positions=move.positions[:i] + (q,) + move.positions[i + 1:]))
-    out.append(replace(move, labels=move.labels[::-1]))
+            out.append(move._replace(positions=move.positions[:i] + (q,) + move.positions[i + 1:]))
+    out.append(move._replace(labels=move.labels[::-1]))
     others = list(code.labels) + list(fresh_labels(code, 1))
     for i in range(len(move.labels)):
         other = rng.choice(others)
-        out.append(replace(move, labels=move.labels[:i] + (other,) + move.labels[i + 1:]))
-    out.append(replace(move, signs=tuple(-s for s in move.signs) or (1, -1, 1)))
-    out.append(replace(move, over_first=not move.over_first))
-    out.append(replace(move, parallel=not move.parallel))
-    out.append(replace(move, gaps=move.positions[:1]))
+        out.append(move._replace(labels=move.labels[:i] + (other,) + move.labels[i + 1:]))
+    out.append(move._replace(signs=tuple(-s for s in move.signs) or (1, -1, 1)))
+    out.append(move._replace(over_first=not move.over_first))
+    out.append(move._replace(parallel=not move.parallel))
+    out.append(move._replace(gaps=move.positions[:1]))
     return [m for m in out if m != move]
 
 

@@ -1,9 +1,12 @@
 """Gauss-code parsing, serialization, and elementary transforms."""
 
+import time
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from knotoid_casson import codes
 from knotoid_casson.analysis import read_code_file
 from knotoid_casson.codes import (
     CodeError,
@@ -38,6 +41,9 @@ from support import (
     five_nineteen,
     four_six,
     realizable_code_strategy,
+    reference_parse_items,
+    reference_parse_knotoid_code,
+    reference_parse_signs,
     two_one,
 )
 
@@ -524,3 +530,84 @@ def test_truncated_line_raises_validation_error(code, data):
     parse = parse_multiknotoid_code if isinstance(code, MultiKnotoidCode) else parse_knotoid_code
     assert raised(parse, text)[0] is CodeValidationError
     assert raised(read_code_blocks, text)[0] is CodeValidationError
+
+
+# --- section parsers against the token-by-token reference ----------------------
+
+
+def outcome(parse, text):
+    """What ``parse(text)`` returns, or the type and text of the ``CodeError`` it raises."""
+    try:
+        result = parse(text)
+    except CodeError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, KnotoidCode):
+        assert all(type(it) is Item for it in result.word)
+    return result
+
+
+@pytest.mark.parametrize("text", [
+    "Oa\tUb\x1fUa  Ob ;\ta=+1\x1fb=+1",          # tab and unit separator between tokens
+    "\x1fOa Ua\t;\x1fa=-1\x1f",
+    "Oa' Ub'' Ua' Ob'' ; a'=+1 b''=-1",         # apostrophe labels
+    "Oa'b Ua ; a=+1",                           # glued tokens
+    "OaOb UaOb ; aOb=+1",                       # a glued pair that is one valid token
+    "Oa Ua ; a=+1b=+1",
+    "Oa Ua Ob Ub ; a=+1 b=-1'",
+    "Oa Ua ; a+1",                              # missing '='
+    "Oa Ua ; a=1",
+    "Oa Ua ; =+1",
+    "Oa Ua ; a=+1=+1",
+    "Oa Ua ; a=+2",                             # bad sign token
+    "Oa Ua ; a=+1 a=-1",                        # duplicate sign
+    "Oa Ua ; a=+1 a=+1 b=+2",                   # a duplicate before a bad token
+    "Oa Ua ; b=+2 a=+1 a=+1",                   # a bad token before a duplicate
+    "Oa Ua Xb ; a=+1 a=+1",                     # a bad item before a duplicate sign
+    "Oa- Ua ; a=+1",
+    "O' Ua ; a=+1",
+    "Oa U ; a=+1",
+    "Oa Ua ;",
+    "Oa Ua ; a=+1 ; a=+1",
+    "; a=+1",
+    "Oa Ua Ob Ub",
+])
+def test_parse_matches_token_by_token_reference(text):
+    assert outcome(parse_knotoid_code, text) == outcome(reference_parse_knotoid_code, text)
+
+
+SECTION_PIECES = st.sampled_from([
+    "O", "U", "a", "b1", "'", "=", "+", "-", "1", "+1", "-1", " ", "\t", "\x1f", "x", ";",
+    "Oa", "Ua'", "Ob1", "a=+1", "b1=-1", "a'=-1",
+])
+
+
+@given(st.lists(SECTION_PIECES).map("".join))
+def test_sections_match_token_by_token_reference(text):
+    assert outcome(codes._parse_items, text) == outcome(reference_parse_items, text)
+    assert outcome(codes._parse_signs, text) == outcome(reference_parse_signs, text)
+
+
+@given(ANY_CODE, st.data())
+def test_corrupted_lines_match_token_by_token_reference(code, data):
+    text = serialize(code)
+    at = data.draw(st.integers(0, len(text)))
+    corrupt = data.draw(st.sampled_from(["insert", "delete", "separator"]))
+    if corrupt == "insert":
+        text = text[:at] + data.draw(SECTION_PIECES) + text[at:]
+    elif corrupt == "delete":
+        text = text[:at] + text[at + 1:]  # drops a space too, gluing two tokens
+    else:
+        text = text[:at] + text[at:].replace(" ", data.draw(st.sampled_from(["\t", "\x1f", "  "])), 1)
+    assert outcome(parse_knotoid_code, text) == outcome(reference_parse_knotoid_code, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    (" ".join(["Oa"] * 200_000) + " Oa'b", "bad item token \"Oa'b\""),
+    ("; " + " ".join(f"s{i}=+1" for i in range(200_000)) + " s=+2", "bad sign token 's=+2'"),
+])
+def test_a_long_line_with_a_bad_last_token_fails_fast(text, message):
+    start = time.perf_counter()
+    with pytest.raises(CodeSyntaxError) as exc:
+        parse_knotoid_code(text)
+    assert time.perf_counter() - start < 0.5
+    assert str(exc.value) == message

@@ -1,6 +1,5 @@
 """Move rewriting: site detection, application, inverses, invariance, walks."""
 
-import dataclasses
 import random
 
 import pytest
@@ -134,7 +133,7 @@ def test_apply_validates_sites():
     tri = parse_knotoid_code("Oz Ux Uy Uz Ox Oy ; x=+1 y=-1 z=+1")
     (site,) = r3_sites(tri)
     with pytest.raises(IllegalMoveError):
-        apply(tri, dataclasses.replace(site, signs=(1, -1, 1)))
+        apply(tri, site._replace(signs=(1, -1, 1)))
 
 
 KINK = MoveInstance(R1_INSERT, gaps=(1,), labels=("k",), signs=(1,))
@@ -143,32 +142,32 @@ NOT_A_CODE = "result is not a valid code: "
 
 
 @pytest.mark.parametrize("move, message", [
-    *[(dataclasses.replace(move, signs=signs), NOT_A_CODE + f"sign of {move.labels[0]!r} must be")
+    *[(move._replace(signs=signs), NOT_A_CODE + f"sign of {move.labels[0]!r} must be")
       for move in (KINK, BIGON) for signs in ((2,), (True,), (1.0,))],
-    *[(dataclasses.replace(move, signs=signs), "malformed")
+    *[(move._replace(signs=signs), "malformed")
       for move in (KINK, BIGON) for signs in ((), (1, -1))],
-    (dataclasses.replace(KINK, gaps=(1, 2)), "malformed"),
-    (dataclasses.replace(KINK, labels=("k", "l")), "malformed"),
-    (dataclasses.replace(BIGON, gaps=(1,)), "malformed"),
-    (dataclasses.replace(BIGON, labels=("x",)), "malformed"),
-    (dataclasses.replace(BIGON, gaps=(1, 2, 3), labels=("x", "y", "z")), "malformed"),
-    (dataclasses.replace(BIGON, labels=("x", "x")), NOT_A_CODE + "label 'x' must occur exactly twice"),
-    (dataclasses.replace(KINK, labels=("a",)), NOT_A_CODE + "label 'a' must occur exactly twice"),
-    (dataclasses.replace(BIGON, labels=("x", "b")), NOT_A_CODE + "label 'b' must occur exactly twice"),
-    (dataclasses.replace(KINK, labels=("k k",)), NOT_A_CODE + "bad crossing label 'k k'"),
-    (dataclasses.replace(BIGON, labels=("x", "k k")), NOT_A_CODE + "bad crossing label 'k k'"),
-    (dataclasses.replace(KINK, positions=(1,)), "malformed"),
-    (dataclasses.replace(BIGON, positions=(1, 3)), "malformed"),
-    (dataclasses.replace(KINK, parallel=False), "malformed"),
-    (dataclasses.replace(KINK, gaps=(-1,)), "gap out of range"),
-    (dataclasses.replace(KINK, gaps=(5,)), "gap out of range"),
-    (dataclasses.replace(BIGON, gaps=(0, 5)), "gap out of range"),
-    *[(dataclasses.replace(move, signs=("1",)), NOT_A_CODE + f"sign of {move.labels[0]!r} must be")
+    (KINK._replace(gaps=(1, 2)), "malformed"),
+    (KINK._replace(labels=("k", "l")), "malformed"),
+    (BIGON._replace(gaps=(1,)), "malformed"),
+    (BIGON._replace(labels=("x",)), "malformed"),
+    (BIGON._replace(gaps=(1, 2, 3), labels=("x", "y", "z")), "malformed"),
+    (BIGON._replace(labels=("x", "x")), NOT_A_CODE + "label 'x' must occur exactly twice"),
+    (KINK._replace(labels=("a",)), NOT_A_CODE + "label 'a' must occur exactly twice"),
+    (BIGON._replace(labels=("x", "b")), NOT_A_CODE + "label 'b' must occur exactly twice"),
+    (KINK._replace(labels=("k k",)), NOT_A_CODE + "bad crossing label 'k k'"),
+    (BIGON._replace(labels=("x", "k k")), NOT_A_CODE + "bad crossing label 'k k'"),
+    (KINK._replace(positions=(1,)), "malformed"),
+    (BIGON._replace(positions=(1, 3)), "malformed"),
+    (KINK._replace(parallel=False), "malformed"),
+    (KINK._replace(gaps=(-1,)), "gap out of range"),
+    (KINK._replace(gaps=(5,)), "gap out of range"),
+    (BIGON._replace(gaps=(0, 5)), "gap out of range"),
+    *[(move._replace(signs=("1",)), NOT_A_CODE + f"sign of {move.labels[0]!r} must be")
       for move in (KINK, BIGON)],
-    *[(dataclasses.replace(move, gaps=move.gaps[:-1] + (gap,)), "malformed")
+    *[(move._replace(gaps=move.gaps[:-1] + (gap,)), "malformed")
       for move in (KINK, BIGON) for gap in ("1", 1.0, True)],
-    (dataclasses.replace(KINK, labels=(5,)), "malformed"),
-    (dataclasses.replace(BIGON, labels=("x", None)), "malformed"),
+    (KINK._replace(labels=(5,)), "malformed"),
+    (BIGON._replace(labels=("x", None)), "malformed"),
 ])
 def test_malformed_insertions_raise_illegal_move(move, message):
     code = two_one()

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from knotoid_casson.analysis import generate_family
 from knotoid_casson.codes import KnotoidCode, concat_product, mirror, reverse, switch_all
-from knotoid_casson.homology import ModuleElement, Subgroup
+from knotoid_casson.homology import ModuleElement, Subgroup, hermite_normal_form
 from knotoid_casson.skew import (
+    _pair_subgroup,
     casson_homological,
     casson_pm,
     skew_pairs,
@@ -254,3 +255,19 @@ def test_sweep_matches_listed_pairs_at_large_sizes(make):
     rank_two = {lab: (rng.randint(-2, 2), rng.randint(-2, 2)) for lab in code.labels}
     for classes in (rank_one, rank_two):
         assert casson_homological(code, classes) == reference_casson_homological(code, classes)
+
+
+def test_rank_one_pair_subgroup_is_the_gcd_of_hermite_normal_form():
+    rng = random.Random(12)
+    pairs = [(0, 0), (0, 5), (-5, 0), (-4, -6), (7, -7), (1, 0)]
+    pairs += [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(500)]
+    for a, b in pairs:
+        first, second = (a,), (b,)
+        assert _pair_subgroup(first, second) == Subgroup(1, hermite_normal_form((first, second)))
+
+
+def test_higher_rank_pair_subgroup_is_hermite_normal_form():
+    rng = random.Random(13)
+    for _ in range(200):
+        first, second = (tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(2))
+        assert _pair_subgroup(first, second) == Subgroup(3, hermite_normal_form((first, second)))

@@ -1,6 +1,8 @@
 """The runtime imports nothing outside the standard library and the package."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +37,16 @@ def test_the_check_sees_a_foreign_import():
         "import os\nfrom numpy import array\nfrom . import codes\nimport hypothesis.strategies\n"
     )
     assert imported_top_level_modules(tree) == {"os", "numpy", "knotoid_casson", "hypothesis"}
+
+
+def test_import_adds_neither_dataclasses_nor_json():
+    # measured against the modules a bare interpreter of this Python already holds
+    probe = (
+        "import sys; before = set(sys.modules); import knotoid_casson; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    added = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "knotoid_casson" in added
+    assert not {name.split(".")[0] for name in added} & {"dataclasses", "json"}
