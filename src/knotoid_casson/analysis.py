@@ -91,14 +91,21 @@ def properness_certificate(
     value times the trivial subgroup; it is skipped for virtual codes
     (pass None for the refinements).
     """
-    if values.c_plus != values.c_minus:
+    terms = None if ch_plus is None or ch_minus is None else (ch_plus.terms(), ch_minus.terms())
+    return _certificate(values.c_plus, values.c_minus, terms)
+
+
+def _certificate(c_plus: int, c_minus: int, terms: tuple[dict, dict] | None) -> str:
+    """``properness_certificate`` from the values and the nonzero terms of
+    CH+ and CH- (None when virtual)."""
+    if c_plus != c_minus:
         return PROPER_BY_C
-    if ch_plus is None or ch_minus is None:
+    if terms is None:
         return INCONCLUSIVE
     # c_plus == c_minus here; c times <0> has one trivial term, or none when c is 0
-    expected = [(True, values.c_plus)] if values.c_plus else []
-    for elem in (ch_plus, ch_minus):
-        if [(sub.is_trivial, c) for sub, c in elem.terms().items()] != expected:
+    expected = [(True, c_plus)] if c_plus else []
+    for side in terms:
+        if [(sub.is_trivial, c) for sub, c in side.items()] != expected:
             return PROPER_BY_CH
     return INCONCLUSIVE
 
@@ -131,23 +138,16 @@ def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
     try:
         classes = all_loop_classes(code)
     except NonRealizableError:
-        values = casson_pm(code)
-        ch_plus = ch_minus = norm_sum = bound = None
-    else:
-        ch_plus, ch_minus = map(ModuleElement, _subgroup_sums(code, classes))
-        values = CassonValues(ch_plus.total_coefficient(), ch_minus.total_coefficient())
-        norm_sum = ch_plus.norm() + ch_minus.norm()
-        bound = _bound_for_norm_sum(norm_sum)
+        c_plus, c_minus = casson_pm(code)
+        return InvariantReport(name, c_plus, c_minus, None, None, None, None,
+                               _certificate(c_plus, c_minus, None), code.n_crossings)
+    plus, minus = _subgroup_sums(code, classes)
+    c_plus, c_minus = sum(plus.values()), sum(minus.values())
+    norm_sum = sum(map(abs, plus.values())) + sum(map(abs, minus.values()))
     return InvariantReport(
-        name=name,
-        c_plus=values.c_plus,
-        c_minus=values.c_minus,
-        ch_plus=ch_plus,
-        ch_minus=ch_minus,
-        norm_sum=norm_sum,
-        crossing_lower_bound=bound,
-        properness=properness_certificate(values, ch_plus, ch_minus),
-        diagram_crossings=code.n_crossings,
+        name, c_plus, c_minus, ModuleElement._of(plus), ModuleElement._of(minus), norm_sum,
+        _bound_for_norm_sum(norm_sum), _certificate(c_plus, c_minus, (plus, minus)),
+        code.n_crossings,
     )
 
 
@@ -226,7 +226,7 @@ def _check_report_names(entries: Iterable[tuple[str, str, KnotoidCode]]) -> None
     """Each name must make its own file inside the output directory."""
     seen: dict[str, str] = {}
     for where, name, _ in entries:
-        if name in ("", ".", "..") or "/" in name or "\\" in name:
+        if name in ("", ".", "..") or "/" in name or "\\" in name or "\0" in name:
             raise CodeError(f"{where}: entry name {name!r} cannot name a report file")
         if name in seen:
             raise CodeError(f"{where}: entry name {name!r} repeats {seen[name]}")
@@ -259,7 +259,7 @@ def evaluate_catalog(
     catalog directory itself, whose every file is read as codes; this is
     checked before anything is read.  Entry names are checked before
     anything is written: a name that is empty, ``.``, ``..``, holds a path
-    separator, or repeats another raises ``CodeError``.  Every report and
+    separator or a NUL byte, or repeats another raises ``CodeError``.  Every report and
     file text is ready before the first write; an ``OSError`` while writing
     removes the files this run wrote and propagates.
     """

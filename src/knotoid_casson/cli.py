@@ -86,16 +86,16 @@ def cmd_check_moves(args: argparse.Namespace) -> int:
         performed = 0
         for trial in range(args.trials):
             seed = args.seed + trial
-            transcript = []
+            transcript = []  # (move, code reached), serialized only when printed
             for move, current in iter_walk(code, args.steps, seed):
                 performed += 1
-                transcript.append((move, serialize(current)))
+                transcript.append((move, current))
                 row = full_report(current, name)
                 if (row.c_plus, row.c_minus, row.ch_plus, row.ch_minus) != base_row:
                     print(f"FAIL {name}: invariants changed (seed {seed})")
-                    for i, (m, text) in enumerate(transcript):
+                    for i, (m, reached) in enumerate(transcript):
                         print(f"  step {i}: {m.kind} gaps={m.gaps} positions={m.positions} "
-                              f"labels={m.labels} -> {text}")
+                              f"labels={m.labels} -> {serialize(reached)}")
                     return 2
         print(f"OK {name}: {args.trials} walk(s), {performed} of {args.trials * args.steps} "
               f"step(s) performed, invariants stable (C+={base.c_plus} C-={base.c_minus} "
@@ -107,10 +107,10 @@ def cmd_skein(args: argparse.Namespace) -> int:
     import json  # imported only where a report is serialized
 
     results = []
-    for _name, code in _load_knotoids(args.file):
+    for name, code in _load_knotoids(args.file):
         if args.crossing is not None:
             if args.crossing not in code.signs:
-                raise CodeError(f"no crossing {args.crossing!r} in code")
+                raise CodeError(f"{name}: no crossing {args.crossing!r} in code")
             results.append(verify_skein(code, args.crossing).as_dict())
         else:
             results.extend(verify_skein(code, lab).as_dict() for lab in code.labels)

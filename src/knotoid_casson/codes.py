@@ -145,7 +145,8 @@ class KnotoidCode(_Frozen):
     Immutable after construction; the empty word is the trivial knotoid.
     ``labels`` lists the crossings in order of first occurrence in the word;
     ``over_pos[i]`` and ``under_pos[i]`` are the word positions of the over
-    and under pass of ``labels[i]``, computed once by the validating pass.
+    and under pass of ``labels[i]``, computed once: by the validating pass,
+    or for the result of a move, spliced from those of the code moved.
     Codes are equal when their words and signs are; they hold a dict, so
     they are not hashable.
     """
@@ -159,13 +160,7 @@ class KnotoidCode(_Frozen):
 
     def __init__(self, word: Iterable[Item], signs: Mapping[str, int]) -> None:
         word, signs = tuple(word), dict(signs)
-        labels, over_pos, under_pos = _check_passes(word, signs)
-        set_field = object.__setattr__  # assignment is refused
-        set_field(self, "word", word)
-        set_field(self, "signs", signs)
-        set_field(self, "labels", labels)
-        set_field(self, "over_pos", over_pos)
-        set_field(self, "under_pos", under_pos)
+        _code_from_fields(word, signs, *_check_passes(word, signs), code=self)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -189,6 +184,32 @@ class KnotoidCode(_Frozen):
         A fresh dict built from the stored positions, so callers may change it.
         """
         return dict(zip(self.labels, zip(self.over_pos, self.under_pos)))
+
+
+def _code_from_fields(
+    word: tuple[Item, ...],
+    signs: dict[str, int],
+    labels: tuple[str, ...],
+    over_pos: tuple[int, ...],
+    under_pos: tuple[int, ...],
+    code: KnotoidCode | None = None,
+) -> KnotoidCode:
+    """The code with these fields, which must agree as ``_check_passes`` makes
+    them: the one place a code's slots are filled.
+
+    ``KnotoidCode.__init__`` passes itself after its checks; a caller that
+    derives the fields from a valid code (a move's splice) passes no code and
+    skips the checks.
+    """
+    if code is None:
+        code = object.__new__(KnotoidCode)
+    set_field = object.__setattr__  # assignment is refused
+    set_field(code, "word", word)
+    set_field(code, "signs", signs)
+    set_field(code, "labels", labels)
+    set_field(code, "over_pos", over_pos)
+    set_field(code, "under_pos", under_pos)
+    return code
 
 
 class MultiKnotoidCode(_Frozen):

@@ -111,6 +111,14 @@ class ModuleElement:
         self._terms = {s: int(c) for s, c in (terms or {}).items() if c}
 
     @classmethod
+    def _of(cls, terms: dict[Subgroup, int]) -> "ModuleElement":
+        """The element with ``terms``, int coefficients none of which is 0,
+        taken without a copy."""
+        elem = object.__new__(cls)
+        elem._terms = terms
+        return elem
+
+    @classmethod
     def zero(cls) -> "ModuleElement":
         return cls()
 

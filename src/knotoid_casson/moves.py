@@ -76,9 +76,22 @@ face and joins two cycles otherwise.  Tracing T through the rotations of
 from __future__ import annotations
 
 import random
+from bisect import bisect
+from itertools import accumulate
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .codes import OVER, UNDER, CodeValidationError, Item, KnotoidCode, fresh_labels
+from .codes import (
+    OVER,
+    UNDER,
+    _LABEL_RE,
+    CodeValidationError,
+    Item,
+    KnotoidCode,
+    _code_from_fields,
+    _new_item,
+    fresh_labels,
+)
 from .planar import PlanarMap, trace_faces
 
 R1_INSERT = "R1Insert"
@@ -120,54 +133,109 @@ def _insert_positions(move: MoveInstance) -> tuple[int, ...]:
     return g_over + 2 * (not over_first), g_under + 2 * over_first
 
 
+def _inserted_blocks(code: KnotoidCode, move: MoveInstance) -> list[tuple[int, tuple[Item, ...]]]:
+    """(first position in the result, items) of each block an insertion adds,
+    in word order, once the insertion has the shape of its kind (a gap and a
+    label per added block, one sign, no positions, a kink left ``parallel``,
+    gaps of type int and never bool, labels of type str) and gaps in range."""
+    kind, kink = move.kind, move.kind == R1_INSERT
+    if not (len(move.gaps) == len(move.labels) == 2 - kink and len(move.signs) == 1
+            and not move.positions and (move.parallel or not kink)
+            and all(type(gap) is int for gap in move.gaps)
+            and all(type(label) is str for label in move.labels)):
+        raise IllegalMoveError(f"malformed {kind}: {move}")
+    if min(move.gaps) < 0 or max(move.gaps) > len(code.word):
+        raise IllegalMoveError(f"{kind} gap out of range: {move.gaps}")
+    if kink:
+        (gap,), (x,) = move.gaps, move.labels
+        over, under = _new_item(Item, (OVER, x)), _new_item(Item, (UNDER, x))
+        return [(gap, (over, under) if move.over_first else (under, over))]
+    x, y = move.labels
+    over = _new_item(Item, (OVER, x)), _new_item(Item, (OVER, y))
+    under = _new_item(Item, (UNDER, x)), _new_item(Item, (UNDER, y))
+    return sorted(zip(_insert_positions(move), (over, under if move.parallel else under[::-1])))
+
+
+def _shifted(positions: tuple[int, ...], cuts: list[int], step: int) -> list[int]:
+    """``positions`` moved by ``step`` once for every cut at or before them."""
+    return [q + step * bisect(cuts, q) for q in positions]
+
+
 def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
     """The word rewrite of ``move``; a deletion or triangle must be a listed site.
 
-    An insertion is checked here only for its kind's shape (a gap and a label
-    per added block, one sign, no positions, a kink left ``parallel``, gaps of
-    type int and never bool, labels of type str) and for gaps in range;
-    building the result checks that its labels are fresh, distinct and well
-    formed and that its sign is the int +1 or -1.
+    The result is spliced from the stored fields of ``code``: the word is cut
+    at the move's blocks, the stored positions past a cut move by 2, inserted
+    labels take the rank of their first occurrence, and a triangle reorders
+    its three labels among their own places.  An insertion is checked as
+    ``_inserted_blocks`` says and for what it brings in: labels that are well
+    formed, fresh and distinct, and the int sign +1 or -1.
     """
-    word = list(code.word)
-    signs = dict(code.signs)
     kind = move.kind
+    word, signs = list(code.word), dict(code.signs)
+    labels, over, under = list(code.labels), code.over_pos, code.under_pos
+    if kind in (R1_INSERT, R2_INSERT):
+        blocks = _inserted_blocks(code, move)
+        for p, block in blocks:
+            word[p:p] = block
+        (sign,) = move.signs
+        added = set(move.labels)
+        if not (type(sign) is int and sign in (1, -1) and len(added) == len(move.labels)
+                and added.isdisjoint(signs) and all(map(_LABEL_RE.fullmatch, added))):
+            raise _invalid_insertion(move, word, signs)
+        signs.update(zip(move.labels, (sign, -sign)))
+        new: dict[str, list[int]] = {}  # inserted label -> [over position, under position]
+        for p, block in blocks:
+            for q, (item_kind, label) in enumerate(block, p):
+                new.setdefault(label, [0, 0])[item_kind == UNDER] = q
+        cuts = sorted(move.gaps)
+        over, under = _shifted(over, cuts, 2), _shifted(under, cuts, 2)
+        # the inserted labels first occur in the first block, in the order of
+        # ``new``: right after every label that occurs before that block's gap
+        rank = len(set(map(itemgetter(1), code.word[:cuts[0]])))
+        labels[rank:rank] = new
+        over[rank:rank], under[rank:rank] = zip(*new.values())
+    elif kind in (R1_DELETE, R2_DELETE):
+        cuts = sorted(move.positions)
+        # the blocks of a site never overlap, so deleting the later one first keeps the other's position
+        for p in reversed(cuts):
+            del word[p:p + 2]
+        over, under = _shifted(over, cuts, -2), _shifted(under, cuts, -2)
+        for i in sorted(map(code.labels.index, move.labels), reverse=True):
+            del labels[i], over[i], under[i]
+        for label in move.labels:
+            del signs[label]
+    elif kind == R3:
+        moved = {}
+        for p in move.positions:
+            word[p], word[p + 1] = word[p + 1], word[p]
+            moved[p], moved[p + 1] = p + 1, p
+        over, under = [moved.get(q, q) for q in over], [moved.get(q, q) for q in under]
+        # the swapped items are the passes of the three labels, each moving by one
+        # within its block, so the three keep their places among the labels as a set
+        places = sorted(map(code.labels.index, move.labels))
+        order = sorted(places, key=lambda i: min(over[i], under[i]))
+        for seq in (labels, over, under):
+            seq[places[0]], seq[places[1]], seq[places[2]] = [seq[i] for i in order]
+    else:
+        raise IllegalMoveError(f"unknown move kind {kind!r}")
+    return _code_from_fields(tuple(word), signs, tuple(labels), tuple(over), tuple(under))
+
+
+def _invalid_insertion(move: MoveInstance, word: list[Item], signs: dict[str, int]) -> IllegalMoveError:
+    """The error of an insertion that brings in a bad label or sign, given the
+    rewritten word and a copy of the code's signs, which it updates: the first
+    check of ``Item`` or of ``KnotoidCode`` that the result fails."""
+    (sign,) = move.signs
     try:
-        if kind in (R1_INSERT, R2_INSERT):
-            kink = kind == R1_INSERT
-            if not (len(move.gaps) == len(move.labels) == 2 - kink and len(move.signs) == 1
-                    and not move.positions and (move.parallel or not kink)
-                    and all(type(gap) is int for gap in move.gaps)
-                    and all(type(label) is str for label in move.labels)):
-                raise IllegalMoveError(f"malformed {kind}: {move}")
-            if min(move.gaps) < 0 or max(move.gaps) > len(word):
-                raise IllegalMoveError(f"{kind} gap out of range: {move.gaps}")
-            over = [Item(OVER, label) for label in move.labels]
-            under = [Item(UNDER, label) for label in move.labels]
-            if kink:
-                blocks = [over + under if move.over_first else under + over]
-            else:
-                blocks = [over, under if move.parallel else under[::-1]]
-            (sign,) = move.signs
-            # a sign that is not an int is left to the code to reject, like any other bad sign
-            signs.update(zip(move.labels, (sign, -sign if type(sign) is int else sign)))
-            # the positions are distinct and final, so inserting in ascending order keeps them
-            for p, block in sorted(zip(_insert_positions(move), blocks)):
-                word[p:p] = block
-        elif kind in (R1_DELETE, R2_DELETE):
-            # the blocks of a site never overlap, so deleting the later one first keeps the other's position
-            for p in sorted(move.positions, reverse=True):
-                del word[p:p + 2]
-            for label in move.labels:
-                del signs[label]
-        elif kind == R3:
-            for p in move.positions:
-                word[p], word[p + 1] = word[p + 1], word[p]
-        else:
-            raise IllegalMoveError(f"unknown move kind {kind!r}")
-        return KnotoidCode(tuple(word), signs)
+        for label in move.labels:
+            Item(OVER, label)  # the checks of the items the blocks are made of
+        # a sign that is not an int is left to the code to reject, like any other bad sign
+        signs.update(zip(move.labels, (sign, -sign if type(sign) is int else sign)))
+        KnotoidCode(word, signs)
     except CodeValidationError as exc:
-        raise IllegalMoveError(f"{kind} result is not a valid code: {exc}") from None
+        return IllegalMoveError(f"{move.kind} result is not a valid code: {exc}")
+    raise AssertionError(f"{move} brings in nothing invalid")
 
 
 def _bigon_sides(sign: int, parallel: bool) -> tuple[int, int]:
@@ -338,6 +406,13 @@ def enumerate_moves(code: KnotoidCode) -> list[MoveInstance]:
 _WALK_KINDS = (R1_INSERT, R2_INSERT, R1_DELETE, R2_DELETE, R3)
 _GROW_WEIGHTS = (3, 3, 3, 3, 2)
 _SHRINK_WEIGHTS = (0, 0, 4, 4, 2)
+# A kind is drawn as Random.choices(_WALK_KINDS, weights) draws it, from the
+# cumulative weights it would build at every call: the index bisect(cum,
+# random() * total, 0, _LAST_KIND) of the same float, so a kind depends only
+# on random()
+_GROW_CUM = tuple(accumulate(_GROW_WEIGHTS))
+_SHRINK_CUM = tuple(accumulate(_SHRINK_WEIGHTS))
+_LAST_KIND = len(_WALK_KINDS) - 1
 _MAX_ATTEMPTS = 12
 # insertions stop once a walk's code exceeds its starting size by this many crossings
 _GROWTH_CAP = 12
@@ -369,9 +444,9 @@ def iter_walk(code: KnotoidCode, steps: int, seed: int) -> Iterator[tuple[MoveIn
     # bigon deletion and triangle site is a move; only the start may be virtual
     pmap: PlanarMap | None = trace_faces(code)
     for _ in range(steps):
-        weights = _SHRINK_WEIGHTS if current.n_crossings >= cap else _GROW_WEIGHTS
+        cum = _SHRINK_CUM if current.n_crossings >= cap else _GROW_CUM
         for _attempt in range(_MAX_ATTEMPTS):
-            kind = rng.choices(_WALK_KINDS, weights)[0]
+            kind = _WALK_KINDS[bisect(cum, rng.random() * cum[-1], 0, _LAST_KIND)]
             move = _random_candidate(current, kind, rng)
             if move is None:
                 continue

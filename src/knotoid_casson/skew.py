@@ -12,7 +12,7 @@ summing formally gives the homological refinement.
 from __future__ import annotations
 
 from math import gcd
-from typing import Hashable, Mapping, NamedTuple
+from typing import Hashable, Iterator, Mapping, NamedTuple
 
 from .codes import KnotoidCode
 from .homology import HomologyClass, ModuleElement, Subgroup, as_class, hermite_normal_form
@@ -53,8 +53,10 @@ def _skew_sums(
     code: KnotoidCode,
     keys: Mapping[str, Hashable],
     signs: Mapping[str, int],
-) -> dict[tuple[str, Hashable, Hashable], int]:
-    """Sums of sign products over skew pairs, by (kind, key of first, key of second).
+) -> Iterator[tuple[int, Hashable, Hashable, int]]:
+    """Sums of sign products over skew pairs, by kind and the keys of the two
+    crossings: yields (lower, key of first, key of second, sum), ``lower``
+    being 1 for lower pairs and 0 for upper ones, straight from the sweep.
 
     A crossing is a chord between its two passes; it is *over-first* when
     its over pass comes first in the word.  Every skew pair is one
@@ -67,7 +69,7 @@ def _skew_sums(
     per mask, skipped when no chord of the other kind started inside it.
     O(n K) operations on integers of at most 2n bits for K distinct keys,
     over arrays built once per chord; labels without a key take no part,
-    and ``signs`` are +1 or -1.
+    and ``signs`` are +1 or -1.  A sum may be 0.
     """
     ids: dict[Hashable, int] = {}
     # at each word position, the start of its chord (-1 for a crossing without
@@ -102,12 +104,10 @@ def _skew_sums(
                 slot = row + (other >> 2)
                 counts[slot] = counts.get(slot, 0) + sign * count
     key_of = list(ids)
-    sums: dict[tuple[str, Hashable, Hashable], int] = {}
     for slot, total in counts.items():
         row, other = divmod(slot, num_keys)
         # a chord that ends under-first closes a lower pair
-        sums[LOWER if row & 1 else UPPER, key_of[row >> 1], key_of[other]] = total
-    return sums
+        yield row & 1, key_of[row >> 1], key_of[other], total
 
 
 def casson_pm(code: KnotoidCode) -> CassonValues:
@@ -116,8 +116,10 @@ def casson_pm(code: KnotoidCode) -> CassonValues:
     Defined for every valid code; spherical realizability is not required
     (virtual knotoid codes are legal inputs).
     """
-    sums = _skew_sums(code, dict.fromkeys(code.signs), code.signs)
-    return CassonValues(sums.get((UPPER, None, None), 0), sums.get((LOWER, None, None), 0))
+    sums = [0, 0]
+    for lower, _, _, total in _skew_sums(code, dict.fromkeys(code.signs), code.signs):
+        sums[lower] += total
+    return CassonValues(*sums)
 
 
 def casson_homological(
@@ -144,33 +146,35 @@ def casson_homological(
     if any(lab not in normalized for lab in code.signs):
         # unsigned counts, so that pairs whose signs cancel still count
         missing = {lab: lab if lab not in normalized else None for lab in code.signs}
-        for _, first, second in _skew_sums(code, missing, dict.fromkeys(code.signs, 1)):
+        for _, first, second, _ in _skew_sums(code, missing, dict.fromkeys(code.signs, 1)):
             lab = first if first is not None else second
             if lab is not None:
                 raise KeyError(f"no homology class for crossing {lab!r}")
 
     upper, lower = _subgroup_sums(code, normalized)
-    return ModuleElement(upper), ModuleElement(lower)
+    return ModuleElement._of(upper), ModuleElement._of(lower)
 
 
 def _subgroup_sums(
     code: KnotoidCode, classes: Mapping[str, HomologyClass]
 ) -> tuple[dict[Subgroup, int], dict[Subgroup, int]]:
-    """The terms of CH+ and CH-, zero coefficients included, from one sweep.
+    """The nonzero terms of CH+ and CH-, from one sweep.
 
     ``classes`` must already be tuples of one rank, as ``all_loop_classes``
     gives them; labels without a class take no part.  ``casson_homological``
     is this function behind its checks.
     """
     subgroups: dict[tuple[HomologyClass, HomologyClass], Subgroup] = {}
-    terms: dict[str, dict[Subgroup, int]] = {UPPER: {}, LOWER: {}}
-    for (kind, first, second), count in _skew_sums(code, classes, code.signs).items():
+    terms: tuple[dict[Subgroup, int], dict[Subgroup, int]] = ({}, {})
+    for lower, first, second, total in _skew_sums(code, classes, code.signs):
         sub = subgroups.get((first, second))
         if sub is None:
             sub = subgroups[first, second] = _pair_subgroup(first, second)
-        side = terms[kind]
-        side[sub] = side.get(sub, 0) + count
-    return terms[UPPER], terms[LOWER]
+        side = terms[lower]
+        side[sub] = side.get(sub, 0) + total
+    # pairs of different classes may span one subgroup, and their sums cancel
+    upper, lower = terms
+    return {sub: c for sub, c in upper.items() if c}, {sub: c for sub, c in lower.items() if c}
 
 
 def _pair_subgroup(first: HomologyClass, second: HomologyClass) -> Subgroup:

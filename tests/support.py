@@ -38,7 +38,6 @@ from knotoid_casson.moves import (
     IllegalMoveError,
     MoveInstance,
     _random_candidate,
-    _rewrite,
     _GROW_WEIGHTS,
     _GROWTH_CAP,
     _MAX_ATTEMPTS,
@@ -488,6 +487,59 @@ REFERENCE_SITES = {R1_DELETE: reference_r1_delete_sites, R2_DELETE: reference_r2
                    R3: reference_r3_sites}
 
 
+def stored(code: KnotoidCode) -> tuple:
+    """Every stored field of a code, the signs' key order included."""
+    return code.word, list(code.signs.items()), code.labels, code.over_pos, code.under_pos
+
+
+def reference_rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
+    """Reference rewrite: edit the word as a list, then build the whole code,
+    which checks it, from the word and the signs.
+
+    An insertion is checked only for its kind's shape and for gaps in range;
+    its blocks go in from the last gap to the first, and at one gap the block
+    that ends up second goes in first.
+    """
+    word = list(code.word)
+    signs = dict(code.signs)
+    kind = move.kind
+    try:
+        if kind in (R1_INSERT, R2_INSERT):
+            kink = kind == R1_INSERT
+            if not (len(move.gaps) == len(move.labels) == 2 - kink and len(move.signs) == 1
+                    and not move.positions and (move.parallel or not kink)
+                    and all(type(gap) is int for gap in move.gaps)
+                    and all(type(label) is str for label in move.labels)):
+                raise IllegalMoveError(f"malformed {kind}: {move}")
+            if min(move.gaps) < 0 or max(move.gaps) > len(word):
+                raise IllegalMoveError(f"{kind} gap out of range: {move.gaps}")
+            over = [Item(OVER, label) for label in move.labels]
+            under = [Item(UNDER, label) for label in move.labels]
+            if kink:
+                placed = [(move.gaps[0], 0, over + under if move.over_first else under + over)]
+            else:
+                g_over, g_under = move.gaps
+                placed = [(g_over, not move.over_first, over),
+                          (g_under, move.over_first, under if move.parallel else under[::-1])]
+            (sign,) = move.signs
+            signs.update(zip(move.labels, (sign, -sign if type(sign) is int else sign)))
+            for gap, _, block in sorted(placed, key=lambda t: t[:2], reverse=True):
+                word[gap:gap] = block
+        elif kind in (R1_DELETE, R2_DELETE):
+            for p in sorted(move.positions, reverse=True):
+                del word[p:p + 2]
+            for label in move.labels:
+                del signs[label]
+        elif kind == R3:
+            for p in move.positions:
+                word[p], word[p + 1] = word[p + 1], word[p]
+        else:
+            raise IllegalMoveError(f"unknown move kind {kind!r}")
+        return KnotoidCode(tuple(word), signs)
+    except CodeValidationError as exc:
+        raise IllegalMoveError(f"{kind} result is not a valid code: {exc}") from None
+
+
 def reference_apply(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
     """Reference move: a deletion or triangle must be a site the reference
     finders list; rewrite, then rebuild the result's map to test realizability."""
@@ -496,7 +548,7 @@ def reference_apply(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
         raise IllegalMoveError(
             f"no {move.kind} site at positions {move.positions} with labels {move.labels}"
         )
-    result = _rewrite(code, move)
+    result = reference_rewrite(code, move)
     try:
         build_planar_map(result)
     except NonRealizableError as exc:
@@ -585,7 +637,7 @@ def reference_walk(code: KnotoidCode, steps: int, seed: int):
 
 def plant_bigon(code: KnotoidCode, gaps, sign: int, parallel: bool, over_first: bool) -> KnotoidCode:
     """``code`` with a bigon's blocks inserted at ``gaps``, planar or not."""
-    return _rewrite(code, MoveInstance(
+    return reference_rewrite(code, MoveInstance(
         R2_INSERT, gaps=tuple(gaps), labels=fresh_labels(code, 2), signs=(sign,),
         over_first=over_first, parallel=parallel,
     ))

@@ -214,6 +214,19 @@ def test_full_report_five_nineteen():
     assert r.properness == INCONCLUSIVE
 
 
+def test_full_report_properness_reads_both_refinements():
+    # C+ = C- = 0 and CH- = 0, but CH+ is not 0: only CH+ certifies properness,
+    # and on the switched code, which swaps CH+ and CH-, only CH-
+    code = parse_knotoid_code("Uc8 Oc6 Uc6 Oc4 Oc2 Uc3 Oc8 Oc7 Uc7 Uc1 Uc2 Oc5 Uc4 Oc1 Oc3 Uc5 ; "
+                              "c8=-1 c6=-1 c4=+1 c2=-1 c3=+1 c7=+1 c1=-1 c5=-1")
+    for diagram, zero in ((code, "ch_minus"), (switch_all(code), "ch_plus")):
+        report = full_report(diagram, "p")
+        assert (report.c_plus, report.c_minus) == (0, 0)
+        assert getattr(report, zero) == ModuleElement.zero()
+        assert report.properness == PROPER_BY_CH
+        assert report.to_json_dict() == reference_report(diagram, "p").to_json_dict()
+
+
 def test_full_report_virtual():
     r = full_report(parse_knotoid_code("Oa Ub Ua Ob ; a=+1 b=-1"), "virtual-2")
     assert r.is_virtual

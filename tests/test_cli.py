@@ -130,8 +130,14 @@ def test_skein_all_crossings(two_one_file, capsys):
     assert all(p["ok"] for p in payload)
 
 
-def test_skein_unknown_crossing_exit_1(two_one_file, capsys):
-    assert main(["skein", two_one_file, "--crossing", "zz"]) == 1
+def test_skein_unknown_crossing_exit_1(tmp_path, capsys):
+    # "c" is a crossing of the second block only: the error names the first
+    path = tmp_path / "two.knd"
+    path.write_text(f"name first\n{TWO_ONE_TEXT}\n---\nname second\n{FOUR_SIX_TEXT}\n")
+    assert main(["skein", str(path), "--crossing", "c"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: first: no crossing 'c' in code\n"
+    assert captured.out == ""
 
 
 def test_family_prints_code(capsys):
@@ -235,7 +241,7 @@ def _files(root):
     return sorted(p.relative_to(root) for p in root.rglob("*"))
 
 
-@pytest.mark.parametrize("bad", ["../escaped", "sub/name", "back\\slash", ".", ".."])
+@pytest.mark.parametrize("bad", ["../escaped", "sub/name", "back\\slash", ".", "..", "a\x00b"])
 def test_batch_rejects_unsafe_entry_name(tmp_path, capsys, bad):
     catalog = tmp_path / "codes"
     catalog.mkdir()

@@ -1,12 +1,13 @@
 """Move rewriting: site detection, application, inverses, invariance, walks."""
 
+import bisect
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotoid_casson import moves, planar
+from knotoid_casson import codes, moves, planar
 from knotoid_casson.analysis import full_report, generate_family
 from knotoid_casson.codes import concat_product, parse_knotoid_code, serialize
 from knotoid_casson.moves import (
@@ -42,8 +43,10 @@ from support import (
     reference_r1_delete_sites,
     reference_r2_delete_sites,
     reference_r3_sites,
+    reference_rewrite,
     reference_walk,
     site_mutations,
+    stored,
     two_one,
 )
 
@@ -177,6 +180,26 @@ def test_malformed_insertions_raise_illegal_move(move, message):
         with pytest.raises(IllegalMoveError) as exc:
             fn(code, move)
         assert message in str(exc.value)
+    assert outcome(moves._rewrite, code, move) == outcome(reference_rewrite, code, move)
+
+
+@pytest.mark.parametrize("move, message", [
+    (KINK._replace(labels=("a",), signs=(2,)), "label 'a' must occur exactly twice, once over and once under"),
+    (BIGON._replace(labels=("x", "a"), signs=(True,)), "label 'a' must occur exactly twice, once over and once under"),
+    (BIGON._replace(labels=("b", "a")), "label 'a' must occur exactly twice, once over and once under"),
+    (BIGON._replace(labels=("a", "b"), signs=(1.0,)), "label 'a' must occur exactly twice, once over and once under"),
+    (BIGON._replace(labels=("a", "a"), signs=(2,)), "label 'a' must occur exactly twice, once over and once under"),
+    (BIGON._replace(labels=("k k", "a")), "bad crossing label 'k k'"),
+    (BIGON._replace(labels=("a", "k k")), "bad crossing label 'k k'"),
+    (KINK._replace(labels=("k k",), signs=(2,)), "bad crossing label 'k k'"),
+])
+def test_insertions_with_two_faults_raise_the_first_check_of_the_result(move, message):
+    # a label that is not fresh, a second such label, a bad sign or a bad label:
+    # the error is the one building the result as a code raises first
+    code = two_one()
+    expected = (IllegalMoveError, f"{move.kind} {NOT_A_CODE}{message}")
+    for fn in (apply, moves._rewrite, reference_rewrite):
+        assert outcome(fn, code, move) == expected
 
 
 def test_unknown_move_kind_raises_illegal_move():
@@ -293,9 +316,9 @@ def test_random_walk_on_random_realizable_codes():
 
 
 def outcome(fn, code, move):
-    """``(None, result)``, or the type and text of what ``fn`` raised."""
+    """``(None, every stored field of the result)``, or the type and text of what ``fn`` raised."""
     try:
-        return None, fn(code, move)
+        return None, stored(fn(code, move))
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -439,7 +462,30 @@ def test_walks_match_reference_walk():
             code = plant_bigon(code, gaps, rng.choice((1, -1)), rng.random() < 0.5, True)
         else:
             code = random_realizable_code(rng, rng.randint(1, 6))
-        assert list(iter_walk(code, 30, seed)) == list(reference_walk(code, 30, seed)), seed
+        walked = [(move, stored(reached)) for move, reached in iter_walk(code, 30, seed)]
+        assert walked == [(move, stored(reached)) for move, reached in reference_walk(code, 30, seed)], seed
+
+
+@pytest.mark.parametrize("weights", [moves._GROW_WEIGHTS, moves._SHRINK_WEIGHTS])
+def test_walk_kind_draw_matches_random_choices(weights):
+    cum = moves._GROW_CUM if weights == moves._GROW_WEIGHTS else moves._SHRINK_CUM
+    for seed in range(200):
+        drawn, chosen = random.Random(seed), random.Random(seed)
+        for _ in range(500):
+            kind = moves._WALK_KINDS[bisect.bisect(cum, drawn.random() * cum[-1], 0, moves._LAST_KIND)]
+            assert kind == chosen.choices(moves._WALK_KINDS, weights)[0], seed
+
+
+def test_walks_never_check_a_whole_code(monkeypatch):
+    fixtures = named_fixtures()
+    calls = []
+    check = codes._check_passes
+    monkeypatch.setattr(codes, "_check_passes", lambda *args: calls.append(args) or check(*args))
+    for name, code in fixtures.items():
+        for seed in range(10):
+            walked = list(iter_walk(code, 30, seed))
+            assert walked, (name, seed)
+    assert calls == []
 
 
 def test_moves_trace_the_faces_of_the_moved_code_once(monkeypatch):
