@@ -31,8 +31,8 @@ from .codes import (
     read_code_blocks,
 )
 from .homology import ModuleElement
-from .planar import NonRealizableError, all_loop_classes
-from .skew import CassonValues, _subgroup_sums, casson_pm
+from .planar import _loop_classes, _trace_faces
+from .skew import CassonValues, _subgroup_sums
 
 PROPER_BY_C = "ProperByC"
 PROPER_BY_CH = "ProperByCH"
@@ -132,17 +132,19 @@ def generate_family(j: int) -> KnotoidCode:
 def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
     """Every invariant of one code; homological fields absent when virtual.
 
-    A realizable code takes ``C+``/``C-`` as the augmentations of
-    ``CH+``/``CH-``, so the skew pairs are swept once per report.
+    The signs of ``code.labels`` are read once, into the list that the face
+    trace, the loop classes and the sweep share.  ``C+``/``C-`` are the
+    augmentations of ``CH+``/``CH-`` (every class 0 when virtual), so the
+    skew pairs are swept once per report.
     """
-    try:
-        classes = all_loop_classes(code)
-    except NonRealizableError:
-        c_plus, c_minus = casson_pm(code)
+    signs = list(map(code.signs.__getitem__, code.labels))
+    realizable = _trace_faces(code, signs).realizable
+    classes = _loop_classes(code, signs) if realizable else [0] * len(signs)
+    plus, minus = _subgroup_sums(code, classes, signs)
+    c_plus, c_minus = sum(plus.values()), sum(minus.values())
+    if not realizable:
         return InvariantReport(name, c_plus, c_minus, None, None, None, None,
                                _certificate(c_plus, c_minus, None), code.n_crossings)
-    plus, minus = _subgroup_sums(code, classes)
-    c_plus, c_minus = sum(plus.values()), sum(minus.values())
     norm_sum = sum(map(abs, plus.values())) + sum(map(abs, minus.values()))
     return InvariantReport(
         name, c_plus, c_minus, ModuleElement._of(plus), ModuleElement._of(minus), norm_sum,

@@ -459,13 +459,11 @@ def concat_product(k1: KnotoidCode, k2: KnotoidCode) -> KnotoidCode:
 
 def fresh_labels(code: KnotoidCode, count: int) -> tuple[str, ...]:
     """Deterministic labels ``n<i>`` not occurring in ``code`` (used by move insertions)."""
-    used = set(code.signs)
     out: list[str] = []
     i = 0
     while len(out) < count:
         cand = f"n{i}"
-        if cand not in used:
+        if cand not in code.signs:
             out.append(cand)
-            used.add(cand)
         i += 1
     return tuple(out)

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .codes import KnotoidCode
 
@@ -103,30 +103,33 @@ class PlanarMap(NamedTuple):
 
 def trace_faces(code: KnotoidCode) -> PlanarMap:
     """Trace the rotation system forced by the signs, realizable or not."""
+    return _trace_faces(code, map(code.signs.__getitem__, code.labels))
+
+
+def _trace_faces(code: KnotoidCode, signs: Iterable[int]) -> PlanarMap:
+    """``trace_faces``, given the signs of ``code.labels`` in that order."""
     last = 2 * len(code.word) + 1  # the backward dart of the last edge
     # nxt[d ^ 1] is the dart before d counterclockwise; an endpoint's one dart precedes itself
     nxt = [0] * (last + 1)
     nxt[1], nxt[last ^ 1] = 0, last
-    signs = code.signs
-    for label, over, under in zip(code.labels, code.over_pos, code.under_pos):
-        over_in, over_out = 2 * over + 1, 2 * over + 2
-        under_in, under_out = 2 * under + 1, 2 * under + 2
-        if signs[label] > 0:  # counterclockwise: over_out, under_out, over_in, under_in
-            nxt[over_out ^ 1], nxt[under_out ^ 1] = under_in, over_out
-            nxt[over_in ^ 1], nxt[under_in ^ 1] = under_out, over_in
-        else:  # counterclockwise: over_out, under_in, over_in, under_out
-            nxt[over_out ^ 1], nxt[under_in ^ 1] = under_out, over_out
-            nxt[over_in ^ 1], nxt[under_out ^ 1] = under_in, over_in
+    for sign, over, under in zip(signs, code.over_pos, code.under_pos):
+        # a pass at position p: dart in 2p + 1 (reversed 2p), dart out 2p + 2 (reversed 2p + 3)
+        o, u = 2 * over, 2 * under
+        if sign > 0:  # counterclockwise: over out, under out, over in, under in
+            nxt[o + 3], nxt[u + 3], nxt[o], nxt[u] = u + 1, o + 2, u + 2, o + 1
+        else:  # counterclockwise: over out, under in, over in, under out
+            nxt[o + 3], nxt[u], nxt[o], nxt[u + 3] = u + 2, o + 2, u + 1, o + 1
 
-    dart_face = [-1] * (last + 1)
-    num_faces = 0
-    for start in range(last + 1):
-        if dart_face[start] < 0:
-            d = start
-            while dart_face[d] < 0:
-                dart_face[d] = num_faces
-                d = nxt[d]
-            num_faces += 1
+    # the -1 past the last dart ends the search for a dart in no face yet
+    dart_face = [-1] * (last + 2)
+    num_faces = start = 0
+    while (start := dart_face.index(-1, start)) <= last:
+        d = start
+        while dart_face[d] < 0:
+            dart_face[d] = num_faces
+            d = nxt[d]
+        num_faces += 1
+    del dart_face[-1]
     # the endpoints' single darts: forward dart of edge 0, backward dart of the last edge
     return PlanarMap(code, num_faces, tuple(dart_face), dart_face[0], dart_face[last])
 
@@ -179,22 +182,25 @@ def dual_arc(pmap: PlanarMap) -> DualArc:
 
 
 def all_loop_classes(code: KnotoidCode) -> dict[str, tuple[int]]:
-    """Loop classes of every crossing; raises NonRealizableError on virtual codes.
-
-    The weights of the push-off (module docstring) on the edges, summed
-    over each loop's sub-path by a prefix sum: O(n) for all crossings.
-    """
+    """Loop classes of every crossing; raises NonRealizableError on virtual codes."""
     build_planar_map(code)
+    signs = map(code.signs.__getitem__, code.labels)
+    return {label: (c,) for label, c in zip(code.labels, _loop_classes(code, signs))}
+
+
+def _loop_classes(code: KnotoidCode, signs: Iterable[int]) -> list[int]:
+    """The loop classes of a realizable code in label order, from its signs in
+    label order: the weights of the push-off (module docstring) on the edges,
+    summed over each loop's sub-path by a prefix sum, O(n) for all crossings.
+    """
     weights = [0] * (len(code.word) + 1)
-    signs = code.signs
-    for label, over, under in zip(code.labels, code.over_pos, code.under_pos):
+    for sign, over, under in zip(signs, code.over_pos, code.under_pos):
         # the over pass puts the sign on edge u+1 or u, the under pass its negative on o or o+1
-        sign = signs[label]
         weights[under + (sign > 0)] += sign
         weights[over + (sign < 0)] -= sign
     # upto[e] = total weight of the edges up to and including edge e
     upto = list(accumulate(weights))
-    return {
-        label: (upto[under] - upto[over],) if over < under else (upto[over] - upto[under],)
-        for label, over, under in zip(code.labels, code.over_pos, code.under_pos)
-    }
+    return [
+        upto[under] - upto[over] if over < under else upto[over] - upto[under]
+        for over, under in zip(code.over_pos, code.under_pos)
+    ]

@@ -12,7 +12,7 @@ summing formally gives the homological refinement.
 from __future__ import annotations
 
 from math import gcd
-from typing import Hashable, Iterator, Mapping, NamedTuple
+from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .codes import KnotoidCode
 from .homology import HomologyClass, ModuleElement, Subgroup, as_class, hermite_normal_form
@@ -50,13 +50,13 @@ def skew_pairs(code: KnotoidCode) -> tuple[list[SkewPair], list[SkewPair]]:
 
 
 def _skew_sums(
-    code: KnotoidCode,
-    keys: Mapping[str, Hashable],
-    signs: Mapping[str, int],
+    code: KnotoidCode, keys: Sequence[Hashable], signs: Sequence[int]
 ) -> Iterator[tuple[int, Hashable, Hashable, int]]:
     """Sums of sign products over skew pairs, by kind and the keys of the two
     crossings: yields (lower, key of first, key of second, sum), ``lower``
-    being 1 for lower pairs and 0 for upper ones, straight from the sweep.
+    being 1 for lower pairs and 0 for upper ones, for every nonzero sum.
+    ``keys`` and ``signs`` (+1 or -1) follow ``code.labels``; a label whose
+    key is None takes no part.
 
     A crossing is a chord between its two passes; it is *over-first* when
     its over pass comes first in the word.  Every skew pair is one
@@ -67,47 +67,57 @@ def _skew_sums(
     The open chords of the other kind that started inside a chord's span
     when it ends are the mask bits above its start: a shift and a popcount
     per mask, skipped when no chord of the other kind started inside it.
-    O(n K) operations on integers of at most 2n bits for K distinct keys,
-    over arrays built once per chord; labels without a key take no part,
-    and ``signs`` are +1 or -1.  A sum may be 0.
+    Bits count from the last chord start with no chord open, so a mask is
+    no wider than the current run of overlapping chords: 2f bits on a
+    product of factors of at most f crossings.  O(n K) operations for K
+    distinct keys, summed into 2 * K * K slots.
     """
     ids: dict[Hashable, int] = {}
-    # at each word position, the start of its chord (-1 for a crossing without
-    # a key) and the chord's mask: 4 * key id + 2 * kind (1: under-first) + negative
+    # at each word position, the start of its chord (-1 for a crossing that takes
+    # no part) and the chord's mask: 4 * key id + 2 * kind (1: under-first) + negative
     start_at = [-1] * len(code.word)
     mask_at = [0] * len(code.word)
-    for label, over, under in zip(code.labels, code.over_pos, code.under_pos):
-        if label in keys:
-            kind = 1 if under < over else 0
-            start_at[over] = start_at[under] = under if kind else over
-            mask = 4 * ids.setdefault(keys[label], len(ids)) + 2 * kind + (signs[label] < 0)
-            mask_at[over] = mask_at[under] = mask
+    for key, sign, over, under in zip(keys, signs, code.over_pos, code.under_pos):
+        if key is not None:
+            mask = 4 * ids.setdefault(key, len(ids)) + (sign < 0)
+            if under < over:
+                start_at[over] = start_at[under] = under
+                mask_at[over] = mask_at[under] = mask + 2
+            else:
+                start_at[over] = start_at[under] = over
+                mask_at[over] = mask_at[under] = mask
     num_keys = len(ids)
     masks = [0] * (4 * num_keys)
     open_of_kind = [0, 0]  # every open chord of each kind, whatever its key and sign
     # the positive masks of the kind other than the index
     masks_of_other = (range(2, 4 * num_keys, 4), range(0, 4 * num_keys, 4))
-    # (2 * key id + kind of the ending chord) * num_keys + key id of the other -> sum
-    counts: dict[int, int] = {}
+    # slot (2 * key id + kind of the ending chord) * num_keys + key id of the other -> sum
+    counts = [0] * (2 * num_keys * num_keys)
+    base = 0  # the bit origin: every open chord started there or later
     for pos, (start, mask) in enumerate(zip(start_at, mask_at)):
-        if start < 0:
-            continue
-        kind, bit = mask >> 1 & 1, 1 << start
-        masks[mask] ^= bit  # opens the chord at its start, closes it at its end
-        open_of_kind[kind] ^= bit
-        if start == pos or not open_of_kind[1 - kind] >> start:
-            continue
-        sign, row = -1 if mask & 1 else 1, (mask >> 1) * num_keys
-        for other in masks_of_other[kind]:
-            count = (masks[other] >> start).bit_count() - (masks[other + 1] >> start).bit_count()
-            if count:
-                slot = row + (other >> 2)
-                counts[slot] = counts.get(slot, 0) + sign * count
+        if start == pos:  # a chord opens
+            if not (open_of_kind[0] or open_of_kind[1]):
+                base = pos
+            bit = 1 << (pos - base)
+            masks[mask] ^= bit
+            open_of_kind[mask >> 1 & 1] ^= bit
+        elif start >= 0:  # a chord closes
+            kind, shift = mask >> 1 & 1, start - base
+            bit = 1 << shift
+            masks[mask] ^= bit
+            open_of_kind[kind] ^= bit
+            if open_of_kind[1 - kind] >> shift:
+                sign, row = -1 if mask & 1 else 1, (mask >> 1) * num_keys
+                for other in masks_of_other[kind]:
+                    count = (masks[other] >> shift).bit_count() - (masks[other + 1] >> shift).bit_count()
+                    if count:
+                        counts[row + (other >> 2)] += sign * count
     key_of = list(ids)
-    for slot, total in counts.items():
-        row, other = divmod(slot, num_keys)
-        # a chord that ends under-first closes a lower pair
-        yield row & 1, key_of[row >> 1], key_of[other], total
+    for slot, total in enumerate(counts):
+        if total:
+            row, other = divmod(slot, num_keys)
+            # a chord that ends under-first closes a lower pair
+            yield row & 1, key_of[row >> 1], key_of[other], total
 
 
 def casson_pm(code: KnotoidCode) -> CassonValues:
@@ -116,10 +126,10 @@ def casson_pm(code: KnotoidCode) -> CassonValues:
     Defined for every valid code; spherical realizability is not required
     (virtual knotoid codes are legal inputs).
     """
-    sums = [0, 0]
-    for lower, _, _, total in _skew_sums(code, dict.fromkeys(code.signs), code.signs):
-        sums[lower] += total
-    return CassonValues(*sums)
+    # every class 0: the augmentations of the sums are the counts
+    signs = list(map(code.signs.__getitem__, code.labels))
+    upper, lower = _subgroup_sums(code, [0] * len(signs), signs)
+    return CassonValues(sum(upper.values()), sum(lower.values()))
 
 
 def casson_homological(
@@ -133,7 +143,7 @@ def casson_homological(
     result pair refines (c_plus, c_minus): summing coefficients of either
     element recovers the corresponding integer count.
     """
-    normalized: dict[str, HomologyClass] = {}
+    normalized: dict[str, "int | HomologyClass"] = {}
     rank: int | None = None
     for lab, value in classes.items():
         vec = as_class(value)
@@ -141,35 +151,38 @@ def casson_homological(
             rank = len(vec)
         elif len(vec) != rank:
             raise ValueError(f"homology class of {lab!r} has rank {len(vec)}, expected {rank}")
-        normalized[lab] = vec
+        normalized[lab] = vec[0] if rank == 1 else vec  # the sweep keys rank 1 by ints
 
-    if any(lab not in normalized for lab in code.signs):
+    keys = [normalized.get(lab) for lab in code.labels]
+    if None in keys:
         # unsigned counts, so that pairs whose signs cancel still count
-        missing = {lab: lab if lab not in normalized else None for lab in code.signs}
-        for _, first, second, _ in _skew_sums(code, missing, dict.fromkeys(code.signs, 1)):
-            lab = first if first is not None else second
-            if lab is not None:
-                raise KeyError(f"no homology class for crossing {lab!r}")
-
-    upper, lower = _subgroup_sums(code, normalized)
+        known = [key is not None for key in keys]
+        if not all(a and b for _, a, b, _ in _skew_sums(code, known, [1] * len(keys))):
+            # name the crossing a left-to-right sweep meets first: the first pair to
+            # close, then the partner that starts first
+            pos = code.positions()
+            unclassed = [p for side in skew_pairs(code) for p in side
+                         if p.first not in normalized or p.second not in normalized]
+            p = min(unclassed, key=lambda p: (max(pos[p.first]), min(pos[p.second])))
+            lab = p.first if p.first not in normalized else p.second
+            raise KeyError(f"no homology class for crossing {lab!r}")
+    upper, lower = _subgroup_sums(code, keys, list(map(code.signs.__getitem__, code.labels)))
     return ModuleElement._of(upper), ModuleElement._of(lower)
 
 
 def _subgroup_sums(
-    code: KnotoidCode, classes: Mapping[str, HomologyClass]
+    code: KnotoidCode, classes: Sequence["int | HomologyClass | None"], signs: Sequence[int]
 ) -> tuple[dict[Subgroup, int], dict[Subgroup, int]]:
     """The nonzero terms of CH+ and CH-, from one sweep.
 
-    ``classes`` must already be tuples of one rank, as ``all_loop_classes``
-    gives them; labels without a class take no part.  ``casson_homological``
-    is this function behind its checks.
+    ``classes`` and ``signs`` follow ``code.labels``: classes of rank 1 as
+    ints (as ``planar._loop_classes`` gives them), of a higher rank as
+    tuples of that rank, and None for labels that take no part.
+    ``casson_homological`` is this function behind its checks.
     """
-    subgroups: dict[tuple[HomologyClass, HomologyClass], Subgroup] = {}
     terms: tuple[dict[Subgroup, int], dict[Subgroup, int]] = ({}, {})
-    for lower, first, second, total in _skew_sums(code, classes, code.signs):
-        sub = subgroups.get((first, second))
-        if sub is None:
-            sub = subgroups[first, second] = _pair_subgroup(first, second)
+    for lower, first, second, total in _skew_sums(code, classes, signs):
+        sub = _pair_subgroup(first, second)
         side = terms[lower]
         side[sub] = side.get(sub, 0) + total
     # pairs of different classes may span one subgroup, and their sums cancel
@@ -177,13 +190,13 @@ def _subgroup_sums(
     return {sub: c for sub, c in upper.items() if c}, {sub: c for sub, c in lower.items() if c}
 
 
-def _pair_subgroup(first: HomologyClass, second: HomologyClass) -> Subgroup:
+def _pair_subgroup(first: "int | HomologyClass", second: "int | HomologyClass") -> Subgroup:
     """The subgroup generated by two classes of one rank.
 
-    In rank 1 (the annulus of a realizable code) its canonical basis is the
-    gcd: ``((g,),)``, or ``()`` when both classes are 0.
+    In rank 1 (the annulus of a realizable code) the classes are ints and
+    the canonical basis is their gcd: ``((g,),)``, or ``()`` when both are 0.
     """
-    if len(first) == 1:
-        g = gcd(first[0], second[0])
+    if isinstance(first, int):
+        g = gcd(first, second)
         return Subgroup(1, ((g,),) if g else ())
     return Subgroup(len(first), hermite_normal_form((first, second)))

@@ -296,6 +296,14 @@ def test_fresh_labels_avoid_collisions():
     assert not set(labels) & set(code.signs)
 
 
+def test_fresh_labels_skip_the_taken_ones_in_order():
+    code = parse_knotoid_code("On0 On1 Un0 On3 Un1 Un3 ; n0=+1 n1=-1 n3=+1")
+    assert fresh_labels(code, 1) == ("n2",)
+    assert fresh_labels(code, 3) == ("n2", "n4", "n5")
+    assert fresh_labels(KnotoidCode((), {}), 3) == ("n0", "n1", "n2")
+    assert fresh_labels(KnotoidCode((), {}), 0) == ()
+
+
 # --- multi-knotoid codes ---------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from knotoid_casson.moves import r3_sites
 from knotoid_casson.planar import (
     RIGHT_TO_LEFT,
     NonRealizableError,
+    _loop_classes,
     all_loop_classes,
     build_planar_map,
     dual_arc,
@@ -177,6 +178,24 @@ def test_all_loop_classes_match_loop_class_along_up_to_40(code):
     assert all_loop_classes(code) == {
         lab: (loop_class_along(pm, steps, lab),) for lab in code.labels
     }
+
+
+def assert_classes_wrap_the_int_list(code):
+    classes = all_loop_classes(code)
+    assert list(classes) == list(code.labels)
+    assert all(type(c) is tuple and len(c) == 1 and type(c[0]) is int for c in classes.values())
+    signs = [code.signs[lab] for lab in code.labels]
+    assert [c for (c,) in classes.values()] == _loop_classes(code, signs)
+
+
+def test_all_loop_classes_wrap_the_report_int_list_on_fixtures():
+    for code in [*named_fixtures().values(), generate_family(5), parse_knotoid_code("")]:
+        assert_classes_wrap_the_int_list(code)
+
+
+@given(realizable_code_strategy(max_crossings=40))
+def test_all_loop_classes_wrap_the_report_int_list_up_to_40(code):
+    assert_classes_wrap_the_int_list(code)
 
 
 def test_faces_equal_crossings_plus_one_on_random_realizable():

@@ -7,8 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotoid_casson.analysis import generate_family
-from knotoid_casson.codes import KnotoidCode, concat_product, mirror, reverse, switch_all
+from knotoid_casson.codes import (
+    OVER,
+    UNDER,
+    Item,
+    KnotoidCode,
+    concat_product,
+    mirror,
+    reverse,
+    switch_all,
+)
 from knotoid_casson.homology import ModuleElement, Subgroup, hermite_normal_form
+from knotoid_casson.planar import all_loop_classes
 from knotoid_casson.skew import (
     _pair_subgroup,
     casson_homological,
@@ -22,6 +32,8 @@ from support import (
     five_nineteen,
     four_six,
     random_code,
+    random_product,
+    realizable_code_strategy,
     reference_casson_homological,
     two_one,
 )
@@ -258,12 +270,12 @@ def test_sweep_matches_listed_pairs_at_large_sizes(make):
 
 
 def test_rank_one_pair_subgroup_is_the_gcd_of_hermite_normal_form():
+    # the sweep keys rank-1 classes by plain ints
     rng = random.Random(12)
     pairs = [(0, 0), (0, 5), (-5, 0), (-4, -6), (7, -7), (1, 0)]
     pairs += [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(500)]
     for a, b in pairs:
-        first, second = (a,), (b,)
-        assert _pair_subgroup(first, second) == Subgroup(1, hermite_normal_form((first, second)))
+        assert _pair_subgroup(a, b) == Subgroup(1, hermite_normal_form(((a,), (b,))))
 
 
 def test_higher_rank_pair_subgroup_is_hermite_normal_form():
@@ -271,3 +283,140 @@ def test_higher_rank_pair_subgroup_is_hermite_normal_form():
     for _ in range(200):
         first, second = (tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(2))
         assert _pair_subgroup(first, second) == Subgroup(3, hermite_normal_form((first, second)))
+
+
+# --- the re-based sweep: its bits count from the last chord start with no chord open ---
+
+
+def cut_points(code: KnotoidCode) -> list[int]:
+    """The chord starts at which no chord is open, read off the word."""
+    pos = code.positions()
+    cuts, closing = [], 0
+    for p, item in enumerate(code.word):
+        first, last = sorted(pos[item.label])
+        if p == first and p > closing:
+            cuts.append(p)
+        closing = max(closing, last)
+    return [0, *cuts] if code.word else []
+
+
+def kink_chain(rng: random.Random, n: int) -> KnotoidCode:
+    """n kinks in a row, each of a random pass order and sign: a cut after every crossing."""
+    word = []
+    for i in range(n):
+        kinds = (OVER, UNDER) if rng.random() < 0.5 else (UNDER, OVER)
+        word += [Item(kind, f"k{i}") for kind in kinds]
+    return KnotoidCode(word, {f"k{i}": rng.choice((1, -1)) for i in range(n)})
+
+
+def first_unclassed(code: KnotoidCode, classes) -> str | None:
+    """The crossing that a missing-class error names, read left to right: at
+    the first chord end that closes a skew pair with a crossing without a class,
+    the ending crossing if it has none, else its first-starting partner without
+    one; None when every skew pair is classed."""
+    upper, lower = skew_pairs(code)
+    pos = code.positions()
+    for end, item in enumerate(code.word):
+        x = item.label
+        if end != max(pos[x]):
+            continue
+        # the first crossing of a skew pair is the one that closes first
+        partners = [p.second for p in upper + lower if p.first == x]
+        if partners and x not in classes:
+            return x
+        missing = sorted((min(pos[y]), y) for y in partners if y not in classes)
+        if missing:
+            return missing[0][1]
+    return None
+
+
+def test_casson_pm_matches_brute_force_on_products_of_41_to_53():
+    # the brute force scans position quadruples, so these sizes are its reach
+    rng = random.Random(4141)
+    for n in (41, 47, 53):
+        code = random_product(rng, n)
+        assert max(cut_points(code)) > 60
+        bf_upper, bf_lower = brute_force_skew_pairs(code)
+        s = code.signs
+        assert casson_pm(code) == (
+            sum(s[a] * s[b] for a, b in bf_upper),
+            sum(s[a] * s[b] for a, b in bf_lower),
+        )
+
+
+@settings(max_examples=20)
+@given(st.randoms(use_true_random=False), st.integers(41, 300))
+def test_rebased_sweep_matches_the_listing_on_products_of_41_to_300(rng, n):
+    # about 96% of these words have a cut point past bit 60, and 98% a run of
+    # overlapping chords wider than 30 bits (a D_j factor)
+    code = random_product(rng, n)
+    pairs = upper, lower = skew_pairs(code)
+    assert casson_pm(code) == (sum(p.sign for p in upper), sum(p.sign for p in lower))
+    loops = {lab: c for lab, (c,) in all_loop_classes(code).items()}
+    rank_one = {lab: rng.randint(-4, 4) for lab in code.labels}
+    rank_two = {lab: (rng.randint(-2, 2), rng.randint(-2, 2)) for lab in code.labels}
+    for classes in (loops, rank_one, rank_two):
+        expected = reference_casson_homological(code, classes, pairs)
+        assert casson_homological(code, classes) == expected
+    # labels without a class take no part when they are in no skew pair
+    paired = {lab for p in upper + lower for lab in (p.first, p.second)}
+    partial = {lab: c for lab, c in rank_one.items() if lab in paired or rng.random() < 0.5}
+    assert casson_homological(code, partial) == reference_casson_homological(code, partial, pairs)
+
+
+@pytest.mark.parametrize("j", [1, 2, 15, 16, 31, 32, 100])
+def test_rebased_sweep_on_the_sharpness_family_which_has_no_interior_cut(j):
+    code = generate_family(j)
+    assert cut_points(code) == [0]
+    pairs = upper, lower = skew_pairs(code)
+    assert len(upper) + len(lower) == j * j  # all signs are +1
+    assert casson_pm(code) == (len(upper), len(lower))
+    rng = random.Random(j)
+    for classes in (
+        {lab: c for lab, (c,) in all_loop_classes(code).items()},
+        {lab: rng.randint(-3, 3) for lab in code.labels},
+        {lab: (rng.randint(-2, 2), rng.randint(-2, 2)) for lab in code.labels},
+    ):
+        expected = reference_casson_homological(code, classes, pairs)
+        assert casson_homological(code, classes) == expected
+
+
+def test_rebased_sweep_on_kink_chains_which_have_a_cut_after_every_crossing():
+    rng = random.Random(2024)
+    chain = kink_chain(rng, 200)
+    assert cut_points(chain) == list(range(0, 400, 2))
+    assert casson_pm(chain) == (0, 0)
+    classes = {lab: rng.randint(-3, 3) for lab in chain.labels}
+    assert casson_homological(chain, classes) == (ModuleElement.zero(), ModuleElement.zero())
+    # kinks between sharpness-family members, small enough for the brute force
+    code = concat_product(kink_chain(rng, 12), generate_family(9))
+    code = concat_product(code, kink_chain(rng, 12))
+    assert len(cut_points(code)) == 25
+    bf_upper, bf_lower = brute_force_skew_pairs(code)
+    s = code.signs
+    assert casson_pm(code) == (
+        sum(s[a] * s[b] for a, b in bf_upper),
+        sum(s[a] * s[b] for a, b in bf_lower),
+    )
+    for classes in (
+        {lab: rng.randint(-3, 3) for lab in code.labels},
+        {lab: (rng.randint(-2, 2), rng.randint(-2, 2)) for lab in code.labels},
+        {lab: 1 for lab in code.labels if not lab.startswith("k")},
+    ):
+        assert casson_homological(code, classes) == reference_casson_homological(code, classes)
+
+
+@given(
+    st.one_of(code_strategy(max_crossings=40), realizable_code_strategy(max_crossings=40)),
+    st.randoms(use_true_random=False),
+)
+def test_missing_class_names_the_crossing_of_the_first_pair_to_close(code, rng):
+    keep = rng.random()
+    classes = {lab: rng.randint(-2, 2) for lab in code.labels if rng.random() < keep}
+    named = first_unclassed(code, classes)
+    if named is None:
+        assert casson_homological(code, classes) == reference_casson_homological(code, classes)
+    else:
+        with pytest.raises(KeyError) as raised:
+            casson_homological(code, classes)
+        assert raised.value.args == (f"no homology class for crossing {named!r}",)
