@@ -87,14 +87,10 @@ class Item(_ItemFields):
         return self.kind + self.label
 
 
-def _check_passes(
-    items: Sequence[Item], signs: Mapping[str, int]
-) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
-    """Shared invariant: each label twice, once over and once under; one sign each.
-
-    Returns the labels in order of first occurrence and, aligned with them,
-    the positions of their over passes and of their under passes.
-    """
+def _read_passes(items: Sequence[Item]) -> tuple[tuple[str, ...], tuple, tuple]:
+    """One pass over a word, with no checks: its labels in order of first
+    occurrence and, aligned with them, the positions of their over passes and
+    of their under passes (None where a label has no pass of that kind)."""
     over: dict[str, int] = {}
     under: dict[str, int] = {}
     first: dict[str, None] = {}
@@ -103,15 +99,28 @@ def _check_passes(
         label = it[1]
         first[label] = None
         (over if it[0] == OVER else under)[label] = i
-    if over.keys() != under.keys() or len(items) != 2 * len(over):
+    labels = tuple(first)
+    # sized from lists: a tuple grown from an iterator is resized, and every
+    # freed one then parks on the interpreter's free list for its final size
+    return labels, tuple([over.get(lab) for lab in labels]), tuple([under.get(lab) for lab in labels])
+
+
+def _check_passes(
+    items: Sequence[Item], signs: Mapping[str, int]
+) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+    """The fields ``_read_passes`` reads off ``items``, once they pass the shared
+    invariant: each label twice, once over and once under; one sign each."""
+    fields = labels, over_pos, under_pos = _read_passes(items)
+    # with an over and an under pass each, 2n passes leave none to spare
+    if len(items) != 2 * len(labels) or None in over_pos or None in under_pos:
         counts = Counter(items)  # an item equals its (kind, label) tuple
-        lab = min(lab for lab in first if counts[OVER, lab] != 1 or counts[UNDER, lab] != 1)
+        lab = min(lab for lab in labels if counts[OVER, lab] != 1 or counts[UNDER, lab] != 1)
         raise CodeValidationError(
             f"label {lab!r} must occur exactly twice, once over and once under"
         )
-    if signs.keys() != first.keys():
-        missing = first.keys() - signs.keys()
-        extra = signs.keys() - first.keys()
+    if signs.keys() != set(labels):
+        missing = set(labels) - signs.keys()
+        extra = signs.keys() - set(labels)
         detail = []
         if missing:
             detail.append(f"missing signs for {sorted(missing)}")
@@ -121,10 +130,7 @@ def _check_passes(
     for lab, s in signs.items():
         if type(s) is not int or s not in (1, -1):  # 1.0 and True compare equal to 1
             raise CodeValidationError(f"sign of {lab!r} must be +1 or -1, got {s!r}")
-    labels = tuple(first)
-    # sized from lists: a tuple grown from an iterator is resized, and every
-    # freed one then parks on the interpreter's free list for its final size
-    return labels, tuple([over[lab] for lab in labels]), tuple([under[lab] for lab in labels])
+    return fields
 
 
 class _Frozen:
@@ -145,8 +151,9 @@ class KnotoidCode(_Frozen):
     Immutable after construction; the empty word is the trivial knotoid.
     ``labels`` lists the crossings in order of first occurrence in the word;
     ``over_pos[i]`` and ``under_pos[i]`` are the word positions of the over
-    and under pass of ``labels[i]``, computed once: by the validating pass,
-    or for the result of a move, spliced from those of the code moved.
+    and under pass of ``labels[i]``, computed once, by the one pass over the
+    word of ``_read_passes``: checked for a code built here, unchecked for
+    the result of a move.
     Codes are equal when their words and signs are; they hold a dict, so
     they are not hashable.
     """
@@ -194,12 +201,12 @@ def _code_from_fields(
     under_pos: tuple[int, ...],
     code: KnotoidCode | None = None,
 ) -> KnotoidCode:
-    """The code with these fields, which must agree as ``_check_passes`` makes
-    them: the one place a code's slots are filled.
+    """The code with these fields, which must be those ``_read_passes`` reads
+    off ``word``: the one place a code's slots are filled.
 
-    ``KnotoidCode.__init__`` passes itself after its checks; a caller that
-    derives the fields from a valid code (a move's splice) passes no code and
-    skips the checks.
+    ``KnotoidCode.__init__`` passes itself after its checks; a caller whose
+    word is known to be valid (a move's rewrite) passes no code and skips
+    the checks.
     """
     if code is None:
         code = object.__new__(KnotoidCode)

@@ -78,7 +78,6 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from itertools import accumulate
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .codes import (
@@ -90,6 +89,7 @@ from .codes import (
     KnotoidCode,
     _code_from_fields,
     _new_item,
+    _read_passes,
     fresh_labels,
 )
 from .planar import PlanarMap, trace_faces
@@ -133,16 +133,23 @@ def _insert_positions(move: MoveInstance) -> tuple[int, ...]:
     return g_over + 2 * (not over_first), g_under + 2 * over_first
 
 
-def _inserted_blocks(code: KnotoidCode, move: MoveInstance) -> list[tuple[int, tuple[Item, ...]]]:
-    """(first position in the result, items) of each block an insertion adds,
-    in word order, once the insertion has the shape of its kind (a gap and a
-    label per added block, one sign, no positions, a kink left ``parallel``,
-    gaps of type int and never bool, labels of type str) and gaps in range."""
-    kind, kink = move.kind, move.kind == R1_INSERT
-    if not (len(move.gaps) == len(move.labels) == 2 - kink and len(move.signs) == 1
+def _has_insertion_shape(move: MoveInstance) -> bool:
+    """Whether an insertion has the shape of its kind: a gap and a label per
+    added block, one sign, no positions, a kink left ``parallel``, gaps of
+    type int and never bool, labels of type str."""
+    kink = move.kind == R1_INSERT
+    return (len(move.gaps) == len(move.labels) == 2 - kink and len(move.signs) == 1
             and not move.positions and (move.parallel or not kink)
             and all(type(gap) is int for gap in move.gaps)
-            and all(type(label) is str for label in move.labels)):
+            and all(type(label) is str for label in move.labels))
+
+
+def _inserted_blocks(code: KnotoidCode, move: MoveInstance) -> list[tuple[int, tuple[Item, ...]]]:
+    """(first position in the result, items) of each block an insertion adds,
+    in word order, once the insertion has the shape of its kind and gaps in
+    range."""
+    kind, kink = move.kind, move.kind == R1_INSERT
+    if not _has_insertion_shape(move):
         raise IllegalMoveError(f"malformed {kind}: {move}")
     if min(move.gaps) < 0 or max(move.gaps) > len(code.word):
         raise IllegalMoveError(f"{kind} gap out of range: {move.gaps}")
@@ -156,27 +163,20 @@ def _inserted_blocks(code: KnotoidCode, move: MoveInstance) -> list[tuple[int, t
     return sorted(zip(_insert_positions(move), (over, under if move.parallel else under[::-1])))
 
 
-def _shifted(positions: tuple[int, ...], cuts: list[int], step: int) -> list[int]:
-    """``positions`` moved by ``step`` once for every cut at or before them."""
-    return [q + step * bisect(cuts, q) for q in positions]
-
-
 def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
     """The word rewrite of ``move``; a deletion or triangle must be a listed site.
 
-    The result is spliced from the stored fields of ``code``: the word is cut
-    at the move's blocks, the stored positions past a cut move by 2, inserted
-    labels take the rank of their first occurrence, and a triangle reorders
-    its three labels among their own places.  An insertion is checked as
-    ``_inserted_blocks`` says and for what it brings in: labels that are well
-    formed, fresh and distinct, and the int sign +1 or -1.
+    Only the word and the signs are edited (blocks inserted or deleted, or
+    each triangle block's two items swapped); ``codes._read_passes`` reads the
+    labels and positions off the new word, without the whole-code check.  An
+    insertion is checked as ``_inserted_blocks`` says and for what it brings
+    in: labels that are well formed, fresh and distinct, and the int sign +1
+    or -1.
     """
     kind = move.kind
     word, signs = list(code.word), dict(code.signs)
-    labels, over, under = list(code.labels), code.over_pos, code.under_pos
     if kind in (R1_INSERT, R2_INSERT):
-        blocks = _inserted_blocks(code, move)
-        for p, block in blocks:
+        for p, block in _inserted_blocks(code, move):
             word[p:p] = block
         (sign,) = move.signs
         added = set(move.labels)
@@ -184,42 +184,19 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
                 and added.isdisjoint(signs) and all(map(_LABEL_RE.fullmatch, added))):
             raise _invalid_insertion(move, word, signs)
         signs.update(zip(move.labels, (sign, -sign)))
-        new: dict[str, list[int]] = {}  # inserted label -> [over position, under position]
-        for p, block in blocks:
-            for q, (item_kind, label) in enumerate(block, p):
-                new.setdefault(label, [0, 0])[item_kind == UNDER] = q
-        cuts = sorted(move.gaps)
-        over, under = _shifted(over, cuts, 2), _shifted(under, cuts, 2)
-        # the inserted labels first occur in the first block, in the order of
-        # ``new``: right after every label that occurs before that block's gap
-        rank = len(set(map(itemgetter(1), code.word[:cuts[0]])))
-        labels[rank:rank] = new
-        over[rank:rank], under[rank:rank] = zip(*new.values())
     elif kind in (R1_DELETE, R2_DELETE):
-        cuts = sorted(move.positions)
         # the blocks of a site never overlap, so deleting the later one first keeps the other's position
-        for p in reversed(cuts):
+        for p in sorted(move.positions, reverse=True):
             del word[p:p + 2]
-        over, under = _shifted(over, cuts, -2), _shifted(under, cuts, -2)
-        for i in sorted(map(code.labels.index, move.labels), reverse=True):
-            del labels[i], over[i], under[i]
         for label in move.labels:
             del signs[label]
     elif kind == R3:
-        moved = {}
         for p in move.positions:
             word[p], word[p + 1] = word[p + 1], word[p]
-            moved[p], moved[p + 1] = p + 1, p
-        over, under = [moved.get(q, q) for q in over], [moved.get(q, q) for q in under]
-        # the swapped items are the passes of the three labels, each moving by one
-        # within its block, so the three keep their places among the labels as a set
-        places = sorted(map(code.labels.index, move.labels))
-        order = sorted(places, key=lambda i: min(over[i], under[i]))
-        for seq in (labels, over, under):
-            seq[places[0]], seq[places[1]], seq[places[2]] = [seq[i] for i in order]
     else:
         raise IllegalMoveError(f"unknown move kind {kind!r}")
-    return _code_from_fields(tuple(word), signs, tuple(labels), tuple(over), tuple(under))
+    word = tuple(word)
+    return _code_from_fields(word, signs, *_read_passes(word))
 
 
 def _invalid_insertion(move: MoveInstance, word: list[Item], signs: dict[str, int]) -> IllegalMoveError:
@@ -278,26 +255,31 @@ def apply(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
 
 
 def inverse_move(move: MoveInstance) -> MoveInstance:
-    """The move undoing ``move`` at the corresponding site of the result."""
-    if move.kind == R1_INSERT:
+    """The move undoing ``move`` at the corresponding site of the result, once
+    an insertion has its kind's shape and a deletion a position per block."""
+    kind = move.kind
+    if (kind in (R1_INSERT, R2_INSERT) and not _has_insertion_shape(move)
+            or kind in (R1_DELETE, R2_DELETE) and len(move.positions) != 1 + (kind == R2_DELETE)):
+        raise IllegalMoveError(f"malformed {kind}: {move}")
+    if kind == R1_INSERT:
         return MoveInstance(R1_DELETE, positions=move.gaps, labels=move.labels,
                             signs=move.signs, over_first=move.over_first)
-    if move.kind == R1_DELETE:
+    if kind == R1_DELETE:
         return MoveInstance(R1_INSERT, gaps=move.positions, labels=move.labels,
                             signs=move.signs, over_first=move.over_first)
-    if move.kind == R2_INSERT:
+    if kind == R2_INSERT:
         return MoveInstance(R2_DELETE, positions=_insert_positions(move), labels=move.labels,
                             signs=move.signs, parallel=move.parallel)
-    if move.kind == R2_DELETE:
+    if kind == R2_DELETE:
         # the placement of _insert_positions, undone
         p_over, p_under = move.positions
         over_first = p_over < p_under
         gaps = p_over - 2 * (not over_first), p_under - 2 * over_first
         return MoveInstance(R2_INSERT, gaps=gaps, labels=move.labels, signs=move.signs,
                             over_first=over_first, parallel=move.parallel)
-    if move.kind == R3:
+    if kind == R3:
         return move
-    raise IllegalMoveError(f"unknown move kind {move.kind!r}")
+    raise IllegalMoveError(f"unknown move kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -121,26 +121,31 @@ def random_realizable_code(rng: random.Random, n_crossings: int, max_tries: int 
 
 
 def brute_force_skew_pairs(code: KnotoidCode) -> tuple[set, set]:
-    """Independent oracle: exhaustive scan over position quadruples.
+    """Independent oracle: a scan over pairs of word positions p1 < p2 whose
+    chords' other ends p3, p4 (read from the word itself) interleave them as
+    p1 < p2 < p3 < p4.
 
     Returns the upper and lower pair sets as (first, second) label tuples.
     """
     word = code.word
-    length = len(word)
+    ends: dict[str, list[int]] = {}
+    for p, item in enumerate(word):
+        ends.setdefault(item.label, []).append(p)
+    other = {p: q for a, b in ends.values() for p, q in ((a, b), (b, a))}
     upper: set[tuple[str, str]] = set()
     lower: set[tuple[str, str]] = set()
-    for p1 in range(length):
-        for p2 in range(p1 + 1, length):
-            for p3 in range(p2 + 1, length):
-                for p4 in range(p3 + 1, length):
-                    a, b, c, d = word[p1], word[p2], word[p3], word[p4]
-                    if a.label != c.label or b.label != d.label or a.label == b.label:
-                        continue
-                    kinds = (a.kind, b.kind, c.kind, d.kind)
-                    if kinds == (OVER, UNDER, UNDER, OVER):
-                        upper.add((a.label, b.label))
-                    elif kinds == (UNDER, OVER, OVER, UNDER):
-                        lower.add((a.label, b.label))
+    for p1 in range(len(word)):
+        p3 = other[p1]
+        for p2 in range(p1 + 1, p3):
+            p4 = other[p2]
+            if p4 <= p3:
+                continue
+            a, b, c, d = word[p1], word[p2], word[p3], word[p4]
+            kinds = (a.kind, b.kind, c.kind, d.kind)
+            if kinds == (OVER, UNDER, UNDER, OVER):
+                upper.add((a.label, b.label))
+            elif kinds == (UNDER, OVER, OVER, UNDER):
+                lower.add((a.label, b.label))
     return upper, lower
 
 

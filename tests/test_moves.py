@@ -36,6 +36,7 @@ from support import (
     plant_bigon,
     plant_triangle,
     random_code,
+    random_product,
     random_realizable_code,
     realizable_code_strategy,
     reference_apply,
@@ -207,6 +208,22 @@ def test_unknown_move_kind_raises_illegal_move():
     for fn in (lambda m: apply(two_one(), m), inverse_move):
         with pytest.raises(IllegalMoveError, match="unknown move kind 'R4'"):
             fn(move)
+
+
+@pytest.mark.parametrize("move", [
+    MoveInstance(R2_INSERT, gaps=(1,)),
+    MoveInstance(R2_DELETE, positions=(1, 2, 3)),
+    MoveInstance(R1_INSERT),
+])
+def test_inverse_of_a_malformed_move_raises_what_apply_raises(move):
+    message = f"malformed {move.kind}: {move}"
+    with pytest.raises(IllegalMoveError) as exc:
+        inverse_move(move)
+    assert str(exc.value) == message
+    if move.kind != R2_DELETE:  # apply rejects a deletion as no listed site
+        with pytest.raises(IllegalMoveError) as exc:
+            apply(two_one(), move)
+        assert str(exc.value) == message
 
 
 def test_r3_swap_and_involution():
@@ -447,6 +464,29 @@ def test_enumerate_moves_matches_reference(code):
 def test_enumerate_moves_matches_reference_at_32_crossings():
     code = concat_product(generate_family(8), generate_family(8))
     assert enumerate_moves(code) == reference_enumerate_moves(code)
+
+
+def test_rewrite_matches_the_reference_rewrite_from_64_to_300_crossings():
+    rng = random.Random(15)
+    bases = [generate_family(32), generate_family(128),
+             random_product(rng, rng.randint(100, 300)), random_product(rng, rng.randint(100, 300))]
+    kinds = set()
+    for base in bases:
+        # the same code with two bigons and two triangles planted, legal or not
+        planted = base
+        for _ in range(2):
+            gaps = [rng.randrange(len(planted.word) + 1) for _ in range(3)]
+            planted = plant_bigon(planted, gaps[:2], rng.choice((1, -1)),
+                                  rng.random() < 0.5, rng.random() < 0.5)
+            planted = plant_triangle(planted, gaps, rng.random() < 0.5)
+        for code in (base, planted):
+            tried = r1_delete_sites(code) + r2_delete_sites(code) + r3_sites(code)
+            for _ in range(50):
+                tried.append(moves._random_candidate(code, rng.choice((R1_INSERT, R2_INSERT)), rng))
+            for move in tried:
+                assert stored(moves._rewrite(code, move)) == stored(reference_rewrite(code, move)), move
+            kinds.update(move.kind for move in tried)
+    assert kinds == {R1_INSERT, R1_DELETE, R2_INSERT, R2_DELETE, R3}
 
 
 def test_walks_match_reference_walk():

@@ -331,7 +331,7 @@ def first_unclassed(code: KnotoidCode, classes) -> str | None:
 
 
 def test_casson_pm_matches_brute_force_on_products_of_41_to_53():
-    # the brute force scans position quadruples, so these sizes are its reach
+    # products just past the 40-crossing range of the hypothesis tests above
     rng = random.Random(4141)
     for n in (41, 47, 53):
         code = random_product(rng, n)
@@ -351,7 +351,12 @@ def test_rebased_sweep_matches_the_listing_on_products_of_41_to_300(rng, n):
     # overlapping chords wider than 30 bits (a D_j factor)
     code = random_product(rng, n)
     pairs = upper, lower = skew_pairs(code)
-    assert casson_pm(code) == (sum(p.sign for p in upper), sum(p.sign for p in lower))
+    bf_upper, bf_lower = brute_force_skew_pairs(code)
+    assert (pair_set(upper), pair_set(lower)) == (bf_upper, bf_lower)
+    assert len(upper) + len(lower) == len(bf_upper) + len(bf_lower)
+    s = code.signs
+    assert casson_pm(code) == (sum(p.sign for p in upper), sum(p.sign for p in lower)) == (
+        sum(s[a] * s[b] for a, b in bf_upper), sum(s[a] * s[b] for a, b in bf_lower))
     loops = {lab: c for lab, (c,) in all_loop_classes(code).items()}
     rank_one = {lab: rng.randint(-4, 4) for lab in code.labels}
     rank_two = {lab: (rng.randint(-2, 2), rng.randint(-2, 2)) for lab in code.labels}
