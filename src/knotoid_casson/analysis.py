@@ -31,7 +31,7 @@ from .codes import (
     read_code_blocks,
 )
 from .homology import ModuleElement
-from .planar import _loop_classes, _trace_faces
+from .planar import _loop_classes, trace_faces
 from .skew import CassonValues, _subgroup_sums
 
 PROPER_BY_C = "ProperByC"
@@ -91,21 +91,14 @@ def properness_certificate(
     value times the trivial subgroup; it is skipped for virtual codes
     (pass None for the refinements).
     """
-    terms = None if ch_plus is None or ch_minus is None else (ch_plus.terms(), ch_minus.terms())
-    return _certificate(values.c_plus, values.c_minus, terms)
-
-
-def _certificate(c_plus: int, c_minus: int, terms: tuple[dict, dict] | None) -> str:
-    """``properness_certificate`` from the values and the nonzero terms of
-    CH+ and CH- (None when virtual)."""
-    if c_plus != c_minus:
+    if values.c_plus != values.c_minus:
         return PROPER_BY_C
-    if terms is None:
+    if ch_plus is None or ch_minus is None:
         return INCONCLUSIVE
     # c_plus == c_minus here; c times <0> has one trivial term, or none when c is 0
-    expected = [(True, c_plus)] if c_plus else []
-    for side in terms:
-        if [(sub.is_trivial, c) for sub, c in side.items()] != expected:
+    expected = [(True, values.c_plus)] if values.c_plus else []
+    for side in (ch_plus, ch_minus):
+        if [(sub.is_trivial, c) for sub, c in side.terms().items()] != expected:
             return PROPER_BY_CH
     return INCONCLUSIVE
 
@@ -132,24 +125,23 @@ def generate_family(j: int) -> KnotoidCode:
 def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
     """Every invariant of one code; homological fields absent when virtual.
 
-    The signs of ``code.labels`` are read once, into the list that the face
-    trace, the loop classes and the sweep share.  ``C+``/``C-`` are the
-    augmentations of ``CH+``/``CH-`` (every class 0 when virtual), so the
-    skew pairs are swept once per report.
+    The face trace, the loop classes and the sweep all read the code's
+    stored ``label_signs``.  ``C+``/``C-`` are the augmentations of
+    ``CH+``/``CH-`` (every class 0 when virtual), so the faces are traced
+    once and the skew pairs are swept once per report.
     """
-    signs = list(map(code.signs.__getitem__, code.labels))
-    realizable = _trace_faces(code, signs).realizable
-    classes = _loop_classes(code, signs) if realizable else [0] * len(signs)
-    plus, minus = _subgroup_sums(code, classes, signs)
-    c_plus, c_minus = sum(plus.values()), sum(minus.values())
+    realizable = trace_faces(code).realizable
+    classes = _loop_classes(code) if realizable else [0] * len(code.labels)
+    plus, minus = _subgroup_sums(code, classes)
+    values = CassonValues(sum(plus.values()), sum(minus.values()))
     if not realizable:
-        return InvariantReport(name, c_plus, c_minus, None, None, None, None,
-                               _certificate(c_plus, c_minus, None), code.n_crossings)
+        return InvariantReport(name, *values, None, None, None, None,
+                               properness_certificate(values), code.n_crossings)
+    ch_plus, ch_minus = ModuleElement._of(plus), ModuleElement._of(minus)
     norm_sum = sum(map(abs, plus.values())) + sum(map(abs, minus.values()))
     return InvariantReport(
-        name, c_plus, c_minus, ModuleElement._of(plus), ModuleElement._of(minus), norm_sum,
-        _bound_for_norm_sum(norm_sum), _certificate(c_plus, c_minus, (plus, minus)),
-        code.n_crossings,
+        name, *values, ch_plus, ch_minus, norm_sum, _bound_for_norm_sum(norm_sum),
+        properness_certificate(values, ch_plus, ch_minus), code.n_crossings,
     )
 
 

@@ -153,17 +153,18 @@ class KnotoidCode(_Frozen):
     ``over_pos[i]`` and ``under_pos[i]`` are the word positions of the over
     and under pass of ``labels[i]``, computed once, by the one pass over the
     word of ``_read_passes``: checked for a code built here, unchecked for
-    the result of a move.
+    the result of a move.  ``label_signs[i]`` is the sign of ``labels[i]``.
     Codes are equal when their words and signs are; they hold a dict, so
     they are not hashable.
     """
 
-    __slots__ = ("word", "signs", "labels", "over_pos", "under_pos")
+    __slots__ = ("word", "signs", "labels", "over_pos", "under_pos", "label_signs")
     word: tuple[Item, ...]
     signs: Mapping[str, int]
     labels: tuple[str, ...]
     over_pos: tuple[int, ...]
     under_pos: tuple[int, ...]
+    label_signs: tuple[int, ...]
 
     def __init__(self, word: Iterable[Item], signs: Mapping[str, int]) -> None:
         word, signs = tuple(word), dict(signs)
@@ -216,6 +217,7 @@ def _code_from_fields(
     set_field(code, "labels", labels)
     set_field(code, "over_pos", over_pos)
     set_field(code, "under_pos", under_pos)
+    set_field(code, "label_signs", tuple([signs[lab] for lab in labels]))
     return code
 
 

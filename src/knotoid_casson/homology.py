@@ -29,16 +29,15 @@ def hermite_normal_form(rows: Iterable[Iterable[int]]) -> tuple[HomologyClass, .
     """Canonical basis (row HNF) of the subgroup of Z^k generated by ``rows``.
 
     Pivots are positive with increasing pivot columns; entries above a
-    pivot are reduced into [0, pivot).  Zero rows are dropped, so the
-    trivial subgroup canonicalizes to the empty basis.
+    pivot are reduced into [0, pivot).  All rows must have one rank; zero
+    rows are then dropped, so the trivial subgroup canonicalizes to the
+    empty basis.
     """
     mat = [list(r) for r in rows]
-    mat = [r for r in mat if any(r)]
-    if not mat:
-        return ()
-    k = len(mat[0])
+    k = len(mat[0]) if mat else 0
     if any(len(r) != k for r in mat):
         raise ValueError("generators have mixed ranks")
+    mat = [r for r in mat if any(r)]
     top = 0
     for col in range(k):
         while True:
@@ -79,10 +78,7 @@ class Subgroup(NamedTuple):
         vecs = [as_class(g) for g in generators]
         if not vecs:
             raise ValueError("need at least one generator (possibly zero)")
-        rank = len(vecs[0])
-        if any(len(v) != rank for v in vecs):
-            raise ValueError("rank mismatch between generators")
-        return cls(rank, hermite_normal_form(vecs))
+        return cls(len(vecs[0]), hermite_normal_form(vecs))
 
     @classmethod
     def cyclic(cls, j: int) -> "Subgroup":

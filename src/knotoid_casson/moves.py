@@ -256,10 +256,12 @@ def apply(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
 
 def inverse_move(move: MoveInstance) -> MoveInstance:
     """The move undoing ``move`` at the corresponding site of the result, once
-    an insertion has its kind's shape and a deletion a position per block."""
+    an insertion has its kind's shape and a deletion a position and a label
+    per block and one sign."""
     kind = move.kind
     if (kind in (R1_INSERT, R2_INSERT) and not _has_insertion_shape(move)
-            or kind in (R1_DELETE, R2_DELETE) and len(move.positions) != 1 + (kind == R2_DELETE)):
+            or kind in (R1_DELETE, R2_DELETE) and not (len(move.signs) == 1
+                and len(move.positions) == len(move.labels) == 1 + (kind == R2_DELETE))):
         raise IllegalMoveError(f"malformed {kind}: {move}")
     if kind == R1_INSERT:
         return MoveInstance(R1_DELETE, positions=move.gaps, labels=move.labels,
@@ -289,9 +291,9 @@ def inverse_move(move: MoveInstance) -> MoveInstance:
 def r1_delete_sites(code: KnotoidCode) -> list[MoveInstance]:
     """Crossings whose two passes are adjacent; labels come in word order."""
     return [
-        MoveInstance(R1_DELETE, positions=(min(o, u),), labels=(lab,), signs=(code.signs[lab],),
-                     over_first=o < u)
-        for lab, o, u in zip(code.labels, code.over_pos, code.under_pos) if abs(o - u) == 1
+        MoveInstance(R1_DELETE, positions=(min(o, u),), labels=(lab,), signs=(sign,), over_first=o < u)
+        for lab, sign, o, u in zip(code.labels, code.label_signs, code.over_pos, code.under_pos)
+        if abs(o - u) == 1
     ]
 
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import accumulate
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .codes import KnotoidCode
 
@@ -103,16 +103,11 @@ class PlanarMap(NamedTuple):
 
 def trace_faces(code: KnotoidCode) -> PlanarMap:
     """Trace the rotation system forced by the signs, realizable or not."""
-    return _trace_faces(code, map(code.signs.__getitem__, code.labels))
-
-
-def _trace_faces(code: KnotoidCode, signs: Iterable[int]) -> PlanarMap:
-    """``trace_faces``, given the signs of ``code.labels`` in that order."""
     last = 2 * len(code.word) + 1  # the backward dart of the last edge
     # nxt[d ^ 1] is the dart before d counterclockwise; an endpoint's one dart precedes itself
     nxt = [0] * (last + 1)
     nxt[1], nxt[last ^ 1] = 0, last
-    for sign, over, under in zip(signs, code.over_pos, code.under_pos):
+    for sign, over, under in zip(code.label_signs, code.over_pos, code.under_pos):
         # a pass at position p: dart in 2p + 1 (reversed 2p), dart out 2p + 2 (reversed 2p + 3)
         o, u = 2 * over, 2 * under
         if sign > 0:  # counterclockwise: over out, under out, over in, under in
@@ -184,17 +179,16 @@ def dual_arc(pmap: PlanarMap) -> DualArc:
 def all_loop_classes(code: KnotoidCode) -> dict[str, tuple[int]]:
     """Loop classes of every crossing; raises NonRealizableError on virtual codes."""
     build_planar_map(code)
-    signs = map(code.signs.__getitem__, code.labels)
-    return {label: (c,) for label, c in zip(code.labels, _loop_classes(code, signs))}
+    return {label: (c,) for label, c in zip(code.labels, _loop_classes(code))}
 
 
-def _loop_classes(code: KnotoidCode, signs: Iterable[int]) -> list[int]:
-    """The loop classes of a realizable code in label order, from its signs in
-    label order: the weights of the push-off (module docstring) on the edges,
-    summed over each loop's sub-path by a prefix sum, O(n) for all crossings.
+def _loop_classes(code: KnotoidCode) -> list[int]:
+    """The loop classes of a realizable code in label order: the weights of
+    the push-off (module docstring) on the edges, summed over each loop's
+    sub-path by a prefix sum, O(n) for all crossings.
     """
     weights = [0] * (len(code.word) + 1)
-    for sign, over, under in zip(signs, code.over_pos, code.under_pos):
+    for sign, over, under in zip(code.label_signs, code.over_pos, code.under_pos):
         # the over pass puts the sign on edge u+1 or u, the under pass its negative on o or o+1
         weights[under + (sign > 0)] += sign
         weights[over + (sign < 0)] -= sign

@@ -127,8 +127,7 @@ def casson_pm(code: KnotoidCode) -> CassonValues:
     (virtual knotoid codes are legal inputs).
     """
     # every class 0: the augmentations of the sums are the counts
-    signs = list(map(code.signs.__getitem__, code.labels))
-    upper, lower = _subgroup_sums(code, [0] * len(signs), signs)
+    upper, lower = _subgroup_sums(code, [0] * len(code.labels))
     return CassonValues(sum(upper.values()), sum(lower.values()))
 
 
@@ -166,22 +165,23 @@ def casson_homological(
             p = min(unclassed, key=lambda p: (max(pos[p.first]), min(pos[p.second])))
             lab = p.first if p.first not in normalized else p.second
             raise KeyError(f"no homology class for crossing {lab!r}")
-    upper, lower = _subgroup_sums(code, keys, list(map(code.signs.__getitem__, code.labels)))
+    upper, lower = _subgroup_sums(code, keys)
     return ModuleElement._of(upper), ModuleElement._of(lower)
 
 
 def _subgroup_sums(
-    code: KnotoidCode, classes: Sequence["int | HomologyClass | None"], signs: Sequence[int]
+    code: KnotoidCode, classes: Sequence["int | HomologyClass | None"]
 ) -> tuple[dict[Subgroup, int], dict[Subgroup, int]]:
-    """The nonzero terms of CH+ and CH-, from one sweep.
+    """The nonzero terms of CH+ and CH-, from one sweep weighted by
+    ``code.label_signs``.
 
-    ``classes`` and ``signs`` follow ``code.labels``: classes of rank 1 as
-    ints (as ``planar._loop_classes`` gives them), of a higher rank as
-    tuples of that rank, and None for labels that take no part.
-    ``casson_homological`` is this function behind its checks.
+    ``classes`` follows ``code.labels``: classes of rank 1 as ints (as
+    ``planar._loop_classes`` gives them), of a higher rank as tuples of that
+    rank, and None for labels that take no part.  ``casson_homological`` is
+    this function behind its checks.
     """
     terms: tuple[dict[Subgroup, int], dict[Subgroup, int]] = ({}, {})
-    for lower, first, second, total in _skew_sums(code, classes, signs):
+    for lower, first, second, total in _skew_sums(code, classes, code.label_signs):
         sub = _pair_subgroup(first, second)
         side = terms[lower]
         side[sub] = side.get(sub, 0) + total

@@ -494,7 +494,13 @@ REFERENCE_SITES = {R1_DELETE: reference_r1_delete_sites, R2_DELETE: reference_r2
 
 def stored(code: KnotoidCode) -> tuple:
     """Every stored field of a code, the signs' key order included."""
-    return code.word, list(code.signs.items()), code.labels, code.over_pos, code.under_pos
+    return (code.word, list(code.signs.items()), code.labels, code.over_pos, code.under_pos,
+            code.label_signs)
+
+
+def assert_label_signs(code: KnotoidCode) -> None:
+    """The stored signs of a code are those of its labels, in label order."""
+    assert code.label_signs == tuple(code.signs[lab] for lab in code.labels), code
 
 
 def reference_rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:

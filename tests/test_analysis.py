@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from knotoid_casson import planar
+from knotoid_casson import analysis, planar
 from knotoid_casson.analysis import (
     INCONCLUSIVE,
     PROPER_BY_C,
@@ -37,6 +37,7 @@ from support import (
     five_nineteen,
     four_six,
     named_fixtures,
+    plant_bigon,
     random_product,
     random_realizable_code,
     realizable_code_strategy,
@@ -340,3 +341,14 @@ def test_shipped_fixture_catalog(tmp_path):
     by_name = {r.name: r for r in reports}
     assert by_name["4_6"].ch_plus == cyc(2)
     assert by_name["D_3"].norm_sum == 9
+
+
+def test_full_report_traces_the_faces_of_the_code_once(monkeypatch):
+    traced = []
+    trace_faces = planar.trace_faces
+    monkeypatch.setattr(analysis, "trace_faces", lambda code: traced.append(code) or trace_faces(code))
+    virtual = plant_bigon(four_six(), (0, 3), 1, True, True)
+    for code in [*named_fixtures().values(), generate_family(5), virtual, parse_knotoid_code("")]:
+        traced.clear()
+        full_report(code)
+        assert len(traced) == 1 and traced[0] is code

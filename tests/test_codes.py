@@ -1,5 +1,7 @@
 """Gauss-code parsing, serialization, and elementary transforms."""
 
+import copy
+import pickle
 import time
 
 import pytest
@@ -36,6 +38,7 @@ from support import (
     FIVE_NINETEEN_TEXT,
     FOUR_SIX_TEXT,
     TWO_ONE_TEXT,
+    assert_label_signs,
     canonical_relabel,
     code_strategy,
     five_nineteen,
@@ -110,6 +113,24 @@ def test_positions_match_rescan_after_moves(code):
     # every step of a walk is a code made by moves.apply
     for _, reached in iter_walk(code, 20, code.n_crossings):
         assert_positions_stored(reached)
+
+
+def test_label_signs_follow_the_labels_not_the_sign_order():
+    code = KnotoidCode(parse_knotoid_code("Oa Ub Ua Ob ; a=+1 b=-1").word, {"b": -1, "a": 1})
+    assert (code.labels, code.label_signs) == (("a", "b"), (1, -1))
+    assert parse_knotoid_code("Ob Ua Ub Oa ; a=+1 b=-1").label_signs == (-1, 1)
+    assert parse_knotoid_code("").label_signs == ()
+    assert mirror(five_nineteen()).label_signs == tuple(-s for s in five_nineteen().label_signs)
+
+
+@given(code_strategy(max_crossings=12), code_strategy(max_crossings=12))
+def test_label_signs_stored_on_every_way_a_code_is_made(a, b):
+    made = [parse_knotoid_code(serialize(a)), KnotoidCode(a.word, a.signs), KnotoidCode(b.word, b.signs),
+            switch_all(a), mirror(a), reverse(a), concat_product(a, b), concat_product(b, a),
+            pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)]
+    made += [switch_crossing(a, label) for label in a.labels]
+    for code in made:
+        assert_label_signs(code)
 
 
 def test_positions_returns_a_copy():

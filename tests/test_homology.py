@@ -40,8 +40,12 @@ def test_trivial_subgroup_is_distinct_basis_element():
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
         Subgroup.generated_by((1, 0), (1,))
+    # ranks are checked before zero rows are dropped
+    for rows in ([(1, 0), (1,)], [(0, 0, 0), (1,)], [(1,), (0, 0)], [(0,), (0, 0)]):
+        with pytest.raises(ValueError, match="mixed ranks"):
+            hermite_normal_form(rows)
     with pytest.raises(ValueError, match="mixed ranks"):
-        hermite_normal_form([(1, 0), (1,)])
+        Subgroup.generated_by((0, 0), (0,))
 
 
 def test_empty_class_and_no_generators_rejected():
@@ -59,6 +63,7 @@ def test_hnf_examples_rank_two():
     assert hermite_normal_form([(2, 4), (0, 3)]) == ((2, 1), (0, 3))
     assert hermite_normal_form([(-1, 0), (0, -1)]) == ((1, 0), (0, 1))
     assert hermite_normal_form([(0, 0), (0, 0)]) == ()
+    assert hermite_normal_form([]) == ()
 
 
 _small_matrices = st.lists(

@@ -29,8 +29,10 @@ from knotoid_casson.moves import (
 )
 from knotoid_casson.skew import casson_pm
 from support import (
+    assert_label_signs,
     code_strategy,
     every_code,
+    four_six,
     move_candidates,
     named_fixtures,
     plant_bigon,
@@ -214,16 +216,40 @@ def test_unknown_move_kind_raises_illegal_move():
     MoveInstance(R2_INSERT, gaps=(1,)),
     MoveInstance(R2_DELETE, positions=(1, 2, 3)),
     MoveInstance(R1_INSERT),
+    # a deletion needs a label per block and one sign
+    MoveInstance(R1_DELETE, positions=(1,)),
+    MoveInstance(R1_DELETE, positions=(1,), labels=("a",)),
+    MoveInstance(R1_DELETE, positions=(1,), signs=(1,)),
+    MoveInstance(R1_DELETE, positions=(1,), labels=("a", "b"), signs=(1,)),
+    MoveInstance(R1_DELETE, positions=(1,), labels=("a",), signs=(1, -1)),
+    MoveInstance(R2_DELETE, positions=(1, 3)),
+    MoveInstance(R2_DELETE, positions=(1, 3), labels=("x", "y")),
+    MoveInstance(R2_DELETE, positions=(1, 3), labels=("x",), signs=(1,)),
+    MoveInstance(R2_DELETE, positions=(1, 3), labels=("x", "y"), signs=(1, -1)),
 ])
 def test_inverse_of_a_malformed_move_raises_what_apply_raises(move):
     message = f"malformed {move.kind}: {move}"
     with pytest.raises(IllegalMoveError) as exc:
         inverse_move(move)
     assert str(exc.value) == message
-    if move.kind != R2_DELETE:  # apply rejects a deletion as no listed site
+    if move.kind in (R1_INSERT, R2_INSERT):  # apply rejects a deletion as no listed site
         with pytest.raises(IllegalMoveError) as exc:
             apply(two_one(), move)
         assert str(exc.value) == message
+
+
+def test_label_signs_stored_on_every_move_result():
+    for code in named_fixtures().values():
+        for move in enumerate_moves(code):
+            assert_label_signs(apply(code, move))
+    # a virtual start whose bigon deletion makes it realizable
+    virtual = plant_bigon(four_six(), (0, 3), 1, True, True)
+    assert not planar.trace_faces(virtual).realizable
+    for seed, start in enumerate([*named_fixtures().values(), virtual]):
+        walked = list(iter_walk(start, 60, seed))
+        assert walked
+        for _, reached in walked:
+            assert_label_signs(reached)
 
 
 def test_r3_swap_and_involution():

@@ -184,8 +184,7 @@ def assert_classes_wrap_the_int_list(code):
     classes = all_loop_classes(code)
     assert list(classes) == list(code.labels)
     assert all(type(c) is tuple and len(c) == 1 and type(c[0]) is int for c in classes.values())
-    signs = [code.signs[lab] for lab in code.labels]
-    assert [c for (c,) in classes.values()] == _loop_classes(code, signs)
+    assert [c for (c,) in classes.values()] == _loop_classes(code)
 
 
 def test_all_loop_classes_wrap_the_report_int_list_on_fixtures():
