@@ -17,8 +17,9 @@ modulo that symmetry.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterable
 from pathlib import Path
-from typing import Iterable, NamedTuple, Union
 
 from .codes import (
     CodeError,
@@ -41,16 +42,12 @@ INCONCLUSIVE = "Inconclusive"
 VIRTUAL = "virtual"
 
 
-class InvariantReport(NamedTuple):
-    name: str
-    c_plus: int
-    c_minus: int
-    ch_plus: ModuleElement | None
-    ch_minus: ModuleElement | None
-    norm_sum: int | None
-    crossing_lower_bound: int | None
-    properness: str
-    diagram_crossings: int
+class InvariantReport(namedtuple("InvariantReport", "name c_plus c_minus ch_plus ch_minus norm_sum "
+                                  "crossing_lower_bound properness diagram_crossings")):
+    """``ch_plus`` and ``ch_minus`` are ModuleElements; they, ``norm_sum`` and
+    ``crossing_lower_bound`` are None for a virtual code."""
+
+    __slots__ = ()
 
     @property
     def is_virtual(self) -> bool:
@@ -180,7 +177,7 @@ def odd_conjecture_experiment(report: InvariantReport) -> dict:
 # catalog handling
 
 
-def read_code_file(path: Union[str, Path]) -> list[tuple[str, KnotoidCode]]:
+def read_code_file(path: str | Path) -> list[tuple[str, KnotoidCode]]:
     """The named knotoid codes of one file; every error, a multi-knotoid block
     included, names the file.  An unnamed block takes the file's stem, plus
     ``.<index>`` when the file holds several blocks."""
@@ -199,7 +196,7 @@ def read_code_file(path: Union[str, Path]) -> list[tuple[str, KnotoidCode]]:
     return named
 
 
-def _catalog_entries(directory: Union[str, Path]) -> list[tuple[str, str, KnotoidCode]]:
+def _catalog_entries(directory: str | Path) -> list[tuple[str, str, KnotoidCode]]:
     """(where, name, code) per block of every code file in a directory (sorted).
 
     ``where`` is "<file>: block <index>"; parse errors carry the file path.
@@ -211,7 +208,7 @@ def _catalog_entries(directory: Union[str, Path]) -> list[tuple[str, str, Knotoi
     ]
 
 
-def load_catalog(directory: Union[str, Path]) -> list[tuple[str, KnotoidCode]]:
+def load_catalog(directory: str | Path) -> list[tuple[str, KnotoidCode]]:
     """Read every code file in a directory (sorted), naming unnamed blocks."""
     return [(name, code) for _, name, code in _catalog_entries(directory)]
 
@@ -242,10 +239,7 @@ def summary_table(reports: Iterable[InvariantReport]) -> str:
     return "\n".join(lines)
 
 
-def evaluate_catalog(
-    directory: Union[str, Path],
-    out_dir: Union[str, Path],
-) -> list[InvariantReport]:
+def evaluate_catalog(directory: str | Path, out_dir: str | Path) -> list[InvariantReport]:
     """Report every catalog entry, in catalog order.
 
     Writes ``<name>.json`` per entry plus ``summary.txt`` into ``out_dir``

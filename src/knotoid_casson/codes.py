@@ -28,8 +28,8 @@ codes with colliding labels).
 from __future__ import annotations
 
 import re
-from collections import Counter
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 OVER = "O"
 UNDER = "U"
@@ -59,13 +59,7 @@ class CodeValidationError(CodeError):
 _new_item = tuple.__new__
 
 
-class _ItemFields(NamedTuple):
-    # a NamedTuple class body may not define __new__, so Item adds its checks in a subclass
-    kind: str
-    label: str
-
-
-class Item(_ItemFields):
+class Item(namedtuple("Item", "kind label")):
     """One pass through a crossing: over/under kind plus the crossing label.
 
     A tuple ``(kind, label)``, so an item equals the plain tuple of its fields.
@@ -362,7 +356,7 @@ def _sign_section(labels: Iterable[str], signs: Mapping[str, int]) -> str:
     return " ".join(f"{lab}={_format_sign(signs[lab])}" for lab in labels)
 
 
-def serialize(code: Union[KnotoidCode, MultiKnotoidCode]) -> str:
+def serialize(code: KnotoidCode | MultiKnotoidCode) -> str:
     """Round-tripping text form: ``parse(serialize(c)) == c``."""
     if isinstance(code, MultiKnotoidCode):
         lines = ["segment: " + " ".join(str(it) for it in code.segment)]
@@ -375,9 +369,7 @@ def serialize(code: Union[KnotoidCode, MultiKnotoidCode]) -> str:
     return f"{items} ; {_sign_section(code.labels, code.signs)}"
 
 
-def read_code_blocks(
-    text: str,
-) -> list[tuple[str | None, Union[KnotoidCode, MultiKnotoidCode]]]:
+def read_code_blocks(text: str) -> list[tuple[str | None, KnotoidCode | MultiKnotoidCode]]:
     """Read a code file: '---'-separated blocks, each with an optional name line.
 
     Errors name the failing block by its index among the blocks read.
@@ -388,7 +380,7 @@ def read_code_blocks(
             blocks.append([])
         else:
             blocks[-1].append(line)
-    out: list[tuple[str | None, Union[KnotoidCode, MultiKnotoidCode]]] = []
+    out: list[tuple[str | None, KnotoidCode | MultiKnotoidCode]] = []
     for lines in blocks:
         if not lines and len(blocks) > 1:
             continue
@@ -399,9 +391,7 @@ def read_code_blocks(
     return out
 
 
-def _read_block(
-    lines: list[str],
-) -> tuple[str | None, Union[KnotoidCode, MultiKnotoidCode]]:
+def _read_block(lines: list[str]) -> tuple[str | None, KnotoidCode | MultiKnotoidCode]:
     name = None
     if lines and lines[0].startswith("name "):
         name = lines[0][len("name "):].strip()

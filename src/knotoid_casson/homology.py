@@ -10,16 +10,18 @@ trivial subgroup and is a basis element distinct from the zero sum.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 
 HomologyClass = tuple[int, ...]
 
 
-def as_class(value: "int | Iterable[int]") -> HomologyClass:
-    """Coerce an int (annulus winding) or an int vector to a homology class."""
-    if isinstance(value, int):
-        return (value,)
-    vec = tuple(map(int, value))
+def as_class(value: int | Iterable[int]) -> HomologyClass:
+    """An int (annulus winding) or a non-str vector of ints as a homology
+    class; anything else, a float or a str included, raises TypeError."""
+    vec = tuple(value) if isinstance(value, Iterable) and not isinstance(value, str) else (value,)
+    if not all(type(a) is int for a in vec):  # True and 1.0 compare equal to 1
+        raise TypeError(f"a homology class is an int or a vector of ints, got {value!r}")
     if not vec:
         raise ValueError("a homology class needs rank >= 1")
     return vec
@@ -67,14 +69,16 @@ def hermite_normal_form(rows: Iterable[Iterable[int]]) -> tuple[HomologyClass, .
     return tuple(tuple(r) for r in mat[:top])
 
 
-class Subgroup(NamedTuple):
-    """A subgroup of Z^k in canonical (HNF) form, ordered by (rank, basis); a basis element of M."""
+class Subgroup(namedtuple("Subgroup", "ambient_rank basis")):
+    """A subgroup of Z^k in canonical (HNF) form, ordered by (rank, basis); a basis element of M.
 
-    ambient_rank: int
-    basis: tuple[HomologyClass, ...]
+    ``ambient_rank`` is k; ``basis`` is the tuple of HNF rows, empty when trivial.
+    """
+
+    __slots__ = ()
 
     @classmethod
-    def generated_by(cls, *generators: "int | Iterable[int]") -> "Subgroup":
+    def generated_by(cls, *generators: int | Iterable[int]) -> "Subgroup":
         vecs = [as_class(g) for g in generators]
         if not vecs:
             raise ValueError("need at least one generator (possibly zero)")
@@ -104,7 +108,11 @@ class ModuleElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Subgroup, int] | None = None) -> None:
-        self._terms = {s: int(c) for s, c in (terms or {}).items() if c}
+        items = (terms or {}).items()
+        for s, c in items:
+            if type(c) is not int:  # no coercion: 0.5 is not 0, and True is not 1
+                raise TypeError(f"coefficient of {s} must be an int, got {c!r}")
+        self._terms = {s: c for s, c in items if c}
 
     @classmethod
     def _of(cls, terms: dict[Subgroup, int]) -> "ModuleElement":

@@ -77,8 +77,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import accumulate
-from typing import Iterator, NamedTuple
 
 from .codes import (
     OVER,
@@ -105,7 +106,8 @@ class IllegalMoveError(Exception):
     """The move is not at a valid site, or its rewrite is not planar."""
 
 
-class MoveInstance(NamedTuple):
+class MoveInstance(namedtuple("MoveInstance", "kind gaps positions labels signs over_first parallel",
+                              defaults=((), (), (), (), True, True))):
     """A fully parameterized move site; carries enough data to invert itself.
 
     ``gaps`` are insertion points (indices between items), ``positions``
@@ -114,13 +116,7 @@ class MoveInstance(NamedTuple):
     at a single gap.  ``parallel`` distinguishes the two bigon patterns.
     """
 
-    kind: str
-    gaps: tuple[int, ...] = ()
-    positions: tuple[int, ...] = ()
-    labels: tuple[str, ...] = ()
-    signs: tuple[int, ...] = ()
-    over_first: bool = True
-    parallel: bool = True
+    __slots__ = ()
 
 
 def _insert_positions(move: MoveInstance) -> tuple[int, ...]:

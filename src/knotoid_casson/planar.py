@@ -48,9 +48,8 @@ of the over and under pass (edge p enters position p, edge p+1 leaves it):
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from itertools import accumulate
-from typing import NamedTuple
 
 from .codes import KnotoidCode
 
@@ -66,26 +65,22 @@ class NonRealizableError(Exception):
         self.genus = genus
 
 
-class ArcStep(NamedTuple):
-    """One transversal crossing of a diagram edge by the dual arc."""
+class ArcStep(namedtuple("ArcStep", "edge direction")):
+    """One transversal crossing of a diagram edge by the dual arc; ``direction``
+    is RIGHT_TO_LEFT or LEFT_TO_RIGHT."""
 
-    edge: int
-    direction: int  # RIGHT_TO_LEFT or LEFT_TO_RIGHT
-
-
-class DualArc(NamedTuple):
-    steps: tuple[ArcStep, ...]
+    __slots__ = ()
 
 
-class PlanarMap(NamedTuple):
+DualArc = namedtuple("DualArc", "steps")  # steps: a tuple of ArcSteps
+
+
+class PlanarMap(namedtuple("PlanarMap", "code num_faces dart_face leg_face head_face")):
     """The face record of any knotoid code, realizable or not: the number of
-    faces, the face of every dart, and the faces at the endpoints."""
+    faces, the face of every dart (``dart_face`` has one entry per dart, the
+    side of edge e at 2 * e + side), and the faces at the endpoints."""
 
-    code: KnotoidCode
-    num_faces: int
-    dart_face: tuple[int, ...]
-    leg_face: int
-    head_face: int
+    __slots__ = ()
 
     @property
     def num_edges(self) -> int:

@@ -23,18 +23,15 @@ is positional, so virtual codes satisfy it as well.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .codes import OVER, KnotoidCode, MultiKnotoidCode, switch_crossing
 from .skew import casson_pm
 
 
-class ConwayTriple(NamedTuple):
-    crossing: str
-    d1: KnotoidCode
-    d2: KnotoidCode
-    d0: MultiKnotoidCode
-    s1: int
+# d1: the code with the crossing over-first, d2: d1 with it switched, d0: their
+# smoothing (a MultiKnotoidCode), s1: the crossing's sign in d1
+ConwayTriple = namedtuple("ConwayTriple", "crossing d1 d2 d0 s1")
 
 
 def conway_triple(code: KnotoidCode, label: str) -> ConwayTriple:
@@ -72,14 +69,8 @@ def lk_pm(d0: MultiKnotoidCode, s1: int) -> tuple[int, int]:
     return s1 * lk_plus, s1 * lk_minus
 
 
-class SkeinReport(NamedTuple):
-    crossing: str
-    s1: int
-    lhs_plus: int
-    rhs_plus: int
-    lhs_minus: int
-    rhs_minus: int
-    ok: bool
+class SkeinReport(namedtuple("SkeinReport", "crossing s1 lhs_plus rhs_plus lhs_minus rhs_minus ok")):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return self._asdict()

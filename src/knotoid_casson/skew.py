@@ -11,8 +11,9 @@ summing formally gives the homological refinement.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Hashable, Iterator, Mapping, Sequence
 from math import gcd
-from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .codes import KnotoidCode
 from .homology import HomologyClass, ModuleElement, Subgroup, as_class, hermite_normal_form
@@ -21,16 +22,9 @@ UPPER = "upper"
 LOWER = "lower"
 
 
-class SkewPair(NamedTuple):
-    first: str
-    second: str
-    kind: str
-    sign: int
-
-
-class CassonValues(NamedTuple):
-    c_plus: int
-    c_minus: int
+# kind is UPPER or LOWER; sign is the product of the two crossing signs
+SkewPair = namedtuple("SkewPair", "first second kind sign")
+CassonValues = namedtuple("CassonValues", "c_plus c_minus")
 
 
 def skew_pairs(code: KnotoidCode) -> tuple[list[SkewPair], list[SkewPair]]:
@@ -133,7 +127,7 @@ def casson_pm(code: KnotoidCode) -> CassonValues:
 
 def casson_homological(
     code: KnotoidCode,
-    classes: Mapping[str, "int | HomologyClass"],
+    classes: Mapping[str, int | HomologyClass],
 ) -> tuple[ModuleElement, ModuleElement]:
     """Formal sums, over skew pairs, of the subgroups spanned by loop classes.
 
@@ -142,7 +136,7 @@ def casson_homological(
     result pair refines (c_plus, c_minus): summing coefficients of either
     element recovers the corresponding integer count.
     """
-    normalized: dict[str, "int | HomologyClass"] = {}
+    normalized: dict[str, int | HomologyClass] = {}
     rank: int | None = None
     for lab, value in classes.items():
         vec = as_class(value)
@@ -170,7 +164,7 @@ def casson_homological(
 
 
 def _subgroup_sums(
-    code: KnotoidCode, classes: Sequence["int | HomologyClass | None"]
+    code: KnotoidCode, classes: Sequence[int | HomologyClass | None]
 ) -> tuple[dict[Subgroup, int], dict[Subgroup, int]]:
     """The nonzero terms of CH+ and CH-, from one sweep weighted by
     ``code.label_signs``.
@@ -190,7 +184,7 @@ def _subgroup_sums(
     return {sub: c for sub, c in upper.items() if c}, {sub: c for sub, c in lower.items() if c}
 
 
-def _pair_subgroup(first: "int | HomologyClass", second: "int | HomologyClass") -> Subgroup:
+def _pair_subgroup(first: int | HomologyClass, second: int | HomologyClass) -> Subgroup:
     """The subgroup generated by two classes of one rank.
 
     In rank 1 (the annulus of a realizable code) the classes are ints and

@@ -1,5 +1,7 @@
 """Subgroup canonicalization and formal-sum arithmetic."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -53,6 +55,40 @@ def test_empty_class_and_no_generators_rejected():
         as_class(())
     with pytest.raises(ValueError, match="at least one generator"):
         Subgroup.generated_by()
+
+
+@pytest.mark.parametrize("value, vec", [
+    (3, (3,)), (-2, (-2,)), ((1, 0), (1, 0)), ([0, 2], (0, 2)), (iter([4]), (4,)),
+])
+def test_as_class_takes_an_int_or_a_vector_of_ints(value, vec):
+    assert as_class(value) == vec
+
+
+@pytest.mark.parametrize("value", ["12", "", 1.5, 2.0, True, None, (1.9,), (1, 2.0), [False], ("1",)])
+def test_as_class_refuses_what_it_would_have_to_coerce(value):
+    with pytest.raises(TypeError, match=re.escape(f"got {value!r}")):
+        as_class(value)
+
+
+@pytest.mark.parametrize("coefficient", [0.5, 1.0, 0.0, True, "1", None])
+def test_module_element_takes_only_int_coefficients(coefficient):
+    # 0.5 once made a term 0*<2> that was truthy and unequal to zero
+    message = f"coefficient of <2> must be an int, got {coefficient!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        ModuleElement({Subgroup.cyclic(2): coefficient})
+
+
+def test_module_scale_by_a_float_raises():
+    # it once truncated each product: 2.5 * (1*<1>) read 2*<1>
+    with pytest.raises(TypeError, match="coefficient of <1> must be an int, got 2.5"):
+        2.5 * cyc(1)
+
+
+def test_module_element_drops_zero_terms():
+    elem = ModuleElement({Subgroup.cyclic(2): 0, Subgroup.cyclic(3): -1})
+    assert elem == cyc(3, -1) and elem.terms() == {Subgroup.cyclic(3): -1}
+    zero = ModuleElement({Subgroup.cyclic(2): 0})
+    assert not zero and zero == ModuleElement()
 
 
 def test_hnf_examples_rank_two():

@@ -5,13 +5,13 @@ import pickle
 
 import pytest
 
-from knotoid_casson.analysis import full_report
+from knotoid_casson.analysis import InvariantReport, full_report
 from knotoid_casson.codes import OVER, UNDER, Item, KnotoidCode, MultiKnotoidCode, parse_multiknotoid_code
 from knotoid_casson.homology import Subgroup
-from knotoid_casson.moves import R1_INSERT, IllegalMoveError, MoveInstance, apply
-from knotoid_casson.planar import trace_faces
-from knotoid_casson.skein import verify_skein
-from knotoid_casson.skew import SkewPair
+from knotoid_casson.moves import R1_INSERT, R3, IllegalMoveError, MoveInstance, apply
+from knotoid_casson.planar import ArcStep, DualArc, PlanarMap, build_planar_map, dual_arc, trace_faces
+from knotoid_casson.skein import ConwayTriple, SkeinReport, conway_triple, verify_skein
+from knotoid_casson.skew import CassonValues, SkewPair, casson_pm, skew_pairs
 
 from support import five_nineteen, two_one
 
@@ -76,6 +76,11 @@ def test_code_equality_is_by_word_and_signs():
     (lambda: verify_skein(two_one(), "a"), "ok"),
     (lambda: full_report(two_one()), "norm_sum"),
     (lambda: trace_faces(two_one()), "num_faces"),
+    (lambda: skew_pairs(two_one())[0][0], "sign"),
+    (lambda: casson_pm(two_one()), "c_minus"),
+    (lambda: conway_triple(two_one(), "a"), "d0"),
+    (lambda: dual_arc(build_planar_map(two_one())).steps[0], "direction"),
+    (lambda: dual_arc(build_planar_map(two_one())), "steps"),
 ])
 def test_fields_refuse_assignment(make, field):
     value = make()
@@ -99,6 +104,29 @@ def test_codes_survive_pickle_and_copy():
     clone = pickle.loads(pickle.dumps(five_nineteen()))
     assert (clone.labels, clone.over_pos, clone.under_pos) == (
         five_nineteen().labels, five_nineteen().over_pos, five_nineteen().under_pos)
+
+
+def test_value_types_survive_pickle_and_copy():
+    code = two_one()
+    arc = dual_arc(build_planar_map(code))
+    values = [
+        Item(OVER, "a"), MALFORMED_KINK, Subgroup.cyclic(2), skew_pairs(code)[0][0], casson_pm(code),
+        full_report(code, "2_1"), conway_triple(code, "a"), verify_skein(code, "a"), trace_faces(code),
+        arc.steps[0], arc,
+    ]
+    types = (Item, MoveInstance, Subgroup, SkewPair, CassonValues, InvariantReport, ConwayTriple,
+             SkeinReport, PlanarMap, ArcStep, DualArc)
+    assert tuple(map(type, values)) == types
+    for value in values:
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(clone) is type(value) and clone == value
+
+
+def test_a_move_defaults_every_field_but_its_kind():
+    move = MoveInstance(R3)
+    assert move == (R3, (), (), (), (), True, True)
+    assert (move.gaps, move.positions, move.labels, move.signs) == ((), (), (), ())
+    assert move.over_first is True and move.parallel is True
 
 
 def test_skein_report_as_dict():

@@ -1,6 +1,7 @@
 """Skew-pair detection and the integer/homological counts."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,14 @@ def test_homological_five_nineteen_partial_classes():
 def test_homological_missing_class():
     with pytest.raises(KeyError):
         casson_homological(two_one(), {"a": 1})
+
+
+@pytest.mark.parametrize("bad", ["2", 1.5, 2.0, True, (1.9,), ("1",)])
+def test_homological_classes_are_never_coerced(bad):
+    # "2" once read as the class (2,) and (1.9,) as (1,)
+    message = f"a homology class is an int or a vector of ints, got {bad!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        casson_homological(two_one(), {"a": bad, "b": 4})
 
 
 def test_homological_rank_mismatch():

@@ -39,14 +39,28 @@ def test_the_check_sees_a_foreign_import():
     assert imported_top_level_modules(tree) == {"os", "numpy", "knotoid_casson", "hypothesis"}
 
 
-def test_import_adds_neither_dataclasses_nor_json():
-    # measured against the modules a bare interpreter of this Python already holds
+def modules_added_by_import(*flags: str) -> set[str]:
+    """The top-level modules that ``import knotoid_casson`` adds to a fresh
+    interpreter started with ``flags``."""
     probe = (
         "import sys; before = set(sys.modules); import knotoid_casson; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    added = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    added = subprocess.run([sys.executable, *flags, "-c", probe], env=env, capture_output=True,
                            text=True, check=True).stdout.split()
+    return {name.split(".")[0] for name in added}
+
+
+def test_import_adds_neither_dataclasses_nor_json():
+    # measured against the modules a bare interpreter of this Python already holds
+    added = modules_added_by_import()
     assert "knotoid_casson" in added
-    assert not {name.split(".")[0] for name in added} & {"dataclasses", "json"}
+    assert not added & {"dataclasses", "json"}
+
+
+def test_import_without_site_adds_no_typing():
+    # -S: a .pth file that site runs may load typing first, which would hide an import of it
+    added = modules_added_by_import("-S")
+    assert "knotoid_casson" in added
+    assert not added & {"typing", "dataclasses", "json"}
