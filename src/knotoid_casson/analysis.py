@@ -17,6 +17,7 @@ modulo that symmetry.
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 from collections.abc import Iterable
 from pathlib import Path
@@ -54,17 +55,10 @@ class InvariantReport(namedtuple("InvariantReport", "name c_plus c_minus ch_plus
         return self.ch_plus is None
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "c_plus": self.c_plus,
-            "c_minus": self.c_minus,
-            "ch_plus": VIRTUAL if self.ch_plus is None else str(self.ch_plus),
-            "ch_minus": VIRTUAL if self.ch_minus is None else str(self.ch_minus),
-            "norm_sum": self.norm_sum,
-            "crossing_lower_bound": self.crossing_lower_bound,
-            "properness": self.properness,
-            "diagram_crossings": self.diagram_crossings,
-        }
+        d = self._asdict()  # the field order is the key order
+        for key in ("ch_plus", "ch_minus"):
+            d[key] = VIRTUAL if d[key] is None else str(d[key])
+        return d
 
 
 def crossing_lower_bound(ch_plus: ModuleElement, ch_minus: ModuleElement) -> int:
@@ -148,14 +142,9 @@ def reports_match_up_to_switch(a: InvariantReport, b: InvariantReport) -> bool:
     Mirroring preserves all four values, so the swap is the only symmetry
     to quotient by when comparing against published rows.
     """
-
-    def row(r: InvariantReport):
-        return (r.c_plus, r.c_minus, r.ch_plus, r.ch_minus)
-
-    def swapped(r: InvariantReport):
-        return (r.c_minus, r.c_plus, r.ch_minus, r.ch_plus)
-
-    return row(a) == row(b) or row(a) == swapped(b)
+    row = (a.c_plus, a.c_minus, a.ch_plus, a.ch_minus)
+    return (row == (b.c_plus, b.c_minus, b.ch_plus, b.ch_minus)
+            or row == (b.c_minus, b.c_plus, b.ch_minus, b.ch_plus))
 
 
 def odd_conjecture_experiment(report: InvariantReport) -> dict:
@@ -248,8 +237,9 @@ def evaluate_catalog(directory: str | Path, out_dir: str | Path) -> list[Invaria
     checked before anything is read.  Entry names are checked before
     anything is written: a name that is empty, ``.``, ``..``, holds a path
     separator or a NUL byte, or repeats another raises ``CodeError``.  Every report and
-    file text is ready before the first write; an ``OSError`` while writing
-    removes the files this run wrote and propagates.
+    file text is ready before the first write; an ``OSError`` while writing,
+    as from a symlink at a report path, removes the files this run wrote and
+    propagates.
     """
     import json  # imported only where a report is serialized, not with the package
 
@@ -263,9 +253,11 @@ def evaluate_catalog(directory: str | Path, out_dir: str | Path) -> list[Invaria
     files[out / "summary.txt"] = summary_table(reports) + "\n"
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    # a symlink at a report path is not followed: opening it raises OSError
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW
     try:
         for path, text in files.items():
-            with path.open("w") as f:
+            with open(os.open(path, flags, 0o666), "w") as f:
                 # once opened, the file is truncated: its content is this run's
                 written.append(path)
                 f.write(text)

@@ -86,14 +86,13 @@ def cmd_check_moves(args: argparse.Namespace) -> int:
         performed = 0
         for trial in range(args.trials):
             seed = args.seed + trial
-            transcript = []  # (move, code reached), serialized only when printed
-            for move, current in iter_walk(code, args.steps, seed):
+            for step, (_, current) in enumerate(iter_walk(code, args.steps, seed)):
                 performed += 1
-                transcript.append((move, current))
                 row = full_report(current, name)
                 if (row.c_plus, row.c_minus, row.ch_plus, row.ch_minus) != base_row:
                     print(f"FAIL {name}: invariants changed (seed {seed})")
-                    for i, (m, reached) in enumerate(transcript):
+                    # the walk is seeded, so a replay up to this step prints its moves and codes
+                    for i, (m, reached) in zip(range(step + 1), iter_walk(code, args.steps, seed)):
                         print(f"  step {i}: {m.kind} gaps={m.gaps} positions={m.positions} "
                               f"labels={m.labels} -> {serialize(reached)}")
                     return 2

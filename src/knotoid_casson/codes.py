@@ -160,9 +160,9 @@ class KnotoidCode(_Frozen):
     under_pos: tuple[int, ...]
     label_signs: tuple[int, ...]
 
-    def __init__(self, word: Iterable[Item], signs: Mapping[str, int]) -> None:
+    def __new__(cls, word: Iterable[Item], signs: Mapping[str, int]) -> "KnotoidCode":
         word, signs = tuple(word), dict(signs)
-        _code_from_fields(word, signs, *_check_passes(word, signs), code=self)
+        return _code_from_fields(word, signs, *_check_passes(word, signs))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -194,17 +194,10 @@ def _code_from_fields(
     labels: tuple[str, ...],
     over_pos: tuple[int, ...],
     under_pos: tuple[int, ...],
-    code: KnotoidCode | None = None,
 ) -> KnotoidCode:
     """The code with these fields, which must be those ``_read_passes`` reads
-    off ``word``: the one place a code's slots are filled.
-
-    ``KnotoidCode.__init__`` passes itself after its checks; a caller whose
-    word is known to be valid (a move's rewrite) passes no code and skips
-    the checks.
-    """
-    if code is None:
-        code = object.__new__(KnotoidCode)
+    off ``word``: the one place a code's slots are filled."""
+    code = object.__new__(KnotoidCode)
     set_field = object.__setattr__  # assignment is refused
     set_field(code, "word", word)
     set_field(code, "signs", signs)
@@ -348,12 +341,8 @@ def parse_multiknotoid_code(text: str) -> MultiKnotoidCode:
     return _multiknotoid_from_lines(_content_lines(text))
 
 
-def _format_sign(s: int) -> str:
-    return "+1" if s > 0 else "-1"
-
-
 def _sign_section(labels: Iterable[str], signs: Mapping[str, int]) -> str:
-    return " ".join(f"{lab}={_format_sign(signs[lab])}" for lab in labels)
+    return " ".join(f"{lab}={'+1' if signs[lab] > 0 else '-1'}" for lab in labels)
 
 
 def serialize(code: KnotoidCode | MultiKnotoidCode) -> str:

@@ -119,11 +119,9 @@ class MoveInstance(namedtuple("MoveInstance", "kind gaps positions labels signs 
     __slots__ = ()
 
 
-def _insert_positions(move: MoveInstance) -> tuple[int, ...]:
-    """First positions, in the result, of the blocks an insertion adds: a
-    kink's pair, or a bigon's over block and under block."""
-    if move.kind == R1_INSERT:
-        return move.gaps
+def _insert_positions(move: MoveInstance) -> tuple[int, int]:
+    """First positions, in the result, of the over block and the under block
+    a bigon insertion adds."""
     g_over, g_under = move.gaps
     over_first = g_over < g_under or (g_over == g_under and move.over_first)
     return g_over + 2 * (not over_first), g_under + 2 * over_first

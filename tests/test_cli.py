@@ -1,6 +1,7 @@
 """Command-line interface behavior and exit codes."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -194,6 +195,45 @@ def test_check_moves_failure_prints_the_steps_and_exits_2(two_one_file, monkeypa
     )
 
 
+def test_check_moves_failure_replays_the_walk_up_to_the_failing_step(two_one_file, monkeypatch, capsys):
+    moves = [MoveInstance(R1_INSERT, gaps=(i,), labels=(f"k{i}",), signs=(1,)) for i in range(4)]
+    calls = []
+
+    def changing_walk(code, steps, seed):
+        calls.append((code, steps, seed))
+        yield moves[0], code
+        yield moves[1], code
+        yield moves[2], switch_all(code)  # the row changes here, at step 2
+        yield moves[3], code
+
+    monkeypatch.setattr(cli, "iter_walk", changing_walk)
+    assert main(["check-moves", two_one_file, "--steps", "5", "--trials", "1", "--seed", "4"]) == 2
+    # the walk and its replay, with the same arguments
+    assert calls == [(two_one(), 5, 4)] * 2
+    same, switched = serialize(two_one()), serialize(switch_all(two_one()))
+    assert capsys.readouterr().out == (
+        "FAIL 2_1: invariants changed (seed 4)\n"
+        f"  step 0: R1Insert gaps=(0,) positions=() labels=('k0',) -> {same}\n"
+        f"  step 1: R1Insert gaps=(1,) positions=() labels=('k1',) -> {same}\n"
+        f"  step 2: R1Insert gaps=(2,) positions=() labels=('k2',) -> {switched}\n"
+    )
+
+
+def test_check_moves_memory_does_not_grow_with_steps(tmp_path, capsys):
+    path = tmp_path / "5_19.knd"
+    path.write_text("name 5_19\n" + FIVE_NINETEEN_TEXT + "\n")
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert main(["check-moves", str(path), "--steps", "4000", "--trials", "1"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "1 walk(s), 3992 of 4000 step(s) performed" in capsys.readouterr().out
+    # a code reached is dropped once checked: a kept walk would hold about 1.4 KB a step
+    assert peak - before < 1_000_000
+
+
 def test_batch_and_catalog_summary(tmp_path, capsys):
     catalog = tmp_path / "codes"
     catalog.mkdir()
@@ -300,6 +340,23 @@ def test_batch_into_a_subdirectory_of_its_catalog_runs_twice(tmp_path, capsys):
         assert main(["batch", str(catalog), "--out", str(out_dir)]) == 0
         assert capsys.readouterr().out.startswith("wrote 1 report(s)")
     assert sorted(p.name for p in out_dir.iterdir()) == ["2_1.json", "summary.txt"]
+
+
+@pytest.mark.parametrize("report", ["2_1.json", "summary.txt"])
+def test_batch_refuses_a_symlink_at_a_report_path(tmp_path, capsys, report):
+    catalog = tmp_path / "codes"
+    catalog.mkdir()
+    (catalog / "2_1.knd").write_text("name 2_1\n" + TWO_ONE_TEXT + "\n")
+    (tmp_path / "elsewhere").mkdir()
+    victim = tmp_path / "elsewhere" / "victim.txt"
+    victim.write_text("kept\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / report).symlink_to("../elsewhere/victim.txt")
+    assert main(["batch", str(catalog), "--out", str(out)]) == 1
+    assert str(out / report) in capsys.readouterr().err
+    assert victim.read_text() == "kept\n"
+    assert [p.name for p in out.iterdir()] == [report] and (out / report).is_symlink()
 
 
 @pytest.mark.parametrize("flag", ["--steps", "--trials"])
