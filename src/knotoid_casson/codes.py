@@ -103,7 +103,11 @@ def _check_passes(
     items: Sequence[Item], signs: Mapping[str, int]
 ) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
     """The fields ``_read_passes`` reads off ``items``, once they pass the shared
-    invariant: each label twice, once over and once under; one sign each."""
+    invariant: a word of ``Item``s; each label twice, once over and once
+    under; one sign each."""
+    if not {*map(type, items)} <= {Item}:  # a tuple equal to an item is not one
+        bad = next(it for it in items if type(it) is not Item)
+        raise CodeValidationError(f"a word is made of Items, got {bad!r}")
     fields = labels, over_pos, under_pos = _read_passes(items)
     # with an over and an under pass each, 2n passes leave none to spare
     if len(items) != 2 * len(labels) or None in over_pos or None in under_pos:

@@ -39,34 +39,23 @@ def hermite_normal_form(rows: Iterable[Iterable[int]]) -> tuple[HomologyClass, .
     k = len(mat[0]) if mat else 0
     if any(len(r) != k for r in mat):
         raise ValueError("generators have mixed ranks")
-    mat = [r for r in mat if any(r)]
-    top = 0
+    basis: list[list[int]] = []
     for col in range(k):
-        while True:
-            live = [i for i in range(top, len(mat)) if mat[i][col]]
-            if not live:
-                break
-            i_min = min(live, key=lambda i: abs(mat[i][col]))
-            mat[top], mat[i_min] = mat[i_min], mat[top]
-            pivot = mat[top][col]
-            reduced = True
-            for i in range(top + 1, len(mat)):
-                if mat[i][col]:
-                    q = mat[i][col] // pivot
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
-                    if mat[i][col]:
-                        reduced = False
-            if reduced:
-                if mat[top][col] < 0:
-                    mat[top] = [-a for a in mat[top]]
-                pivot = mat[top][col]
-                for i in range(top):
-                    q = mat[i][col] // pivot
-                    if q:
-                        mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
-                top += 1
-                break
-    return tuple(tuple(r) for r in mat[:top])
+        # Euclid down the column: a zero entry is never picked, so zero rows drop out
+        while len(live := [r for r in mat if r[col]]) > 1:
+            least = min(live, key=lambda r: abs(r[col]))
+            mat = [r if r is least or not r[col] else _reduce(r, least, col) for r in mat]
+        if live:
+            pivot = live[0] if live[0][col] > 0 else [-a for a in live[0]]
+            basis = [_reduce(r, pivot, col) for r in basis] + [pivot]
+            mat = [r for r in mat if not r[col]]
+    return tuple(map(tuple, basis))
+
+
+def _reduce(row: list[int], by: list[int], col: int) -> list[int]:
+    """``row`` less the multiple of ``by`` that leaves ``row[col] % by[col]`` in column ``col``."""
+    q = row[col] // by[col]
+    return [a - q * b for a, b in zip(row, by)]
 
 
 class Subgroup(namedtuple("Subgroup", "ambient_rank basis")):
@@ -160,6 +149,8 @@ class ModuleElement:
         return self + (-other)
 
     def __mul__(self, n: int) -> "ModuleElement":
+        if type(n) is not int:  # True and 1.0 would pass for 1, and "3" * 2 repeats
+            raise TypeError(f"a ModuleElement is scaled by an int, got {n!r}")
         return ModuleElement({s: n * c for s, c in self._terms.items()})
 
     __rmul__ = __mul__

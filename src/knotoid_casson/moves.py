@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Iterator
 from itertools import accumulate
 
@@ -340,8 +340,8 @@ def enumerate_moves(code: KnotoidCode) -> list[MoveInstance]:
     Insertions are the bounded candidate set (kinks at every gap in every
     chirality and sign; generating-variant bigons at every gap pair), in
     that order.  A virtual code admits no insertion; a realizable one admits
-    every kink, and the bigons whose sides share a face, found per gap from
-    the edges bordering that face: O(n + output).
+    every kink, and the bigons that ``_is_legal`` accepts, tried at each over
+    gap only against the gaps bordering a face of it: O(n + output).
     """
     pmap = trace_faces(code)
     legal = [move for find in _SITES.values() for move in find(code) if _is_legal(pmap, move)]
@@ -357,24 +357,20 @@ def enumerate_moves(code: KnotoidCode) -> list[MoveInstance]:
                     over_first=over_first,
                 ))
     # side (0 left, 1 right) -> face -> the edges with that face on that side
-    bordering: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
+    bordering: tuple[defaultdict[int, set[int]], ...] = (defaultdict(set), defaultdict(set))
     for edge in gaps:
         for side in (0, 1):
-            bordering[side].setdefault(pmap.face(edge, side), set()).add(edge)
+            bordering[side][pmap.face(edge, side)].add(edge)
     for g_over in gaps:
-        under_gaps = {}
-        for sign in (1, -1):
-            s_over, s_under = _bigon_sides(sign, True)
-            under_gaps[sign] = bordering[s_under].get(pmap.face(g_over, s_over), set())
-        for g_under in sorted(under_gaps[1] | under_gaps[-1]):
-            stackings = (True, False) if g_over == g_under else (True,)
-            for over_first in stackings:
+        # pruning only: a legal bigon's under gap has its left side on the face right
+        # of g_over (sign +1) or its right side on the face left of it (sign -1)
+        for g_under in sorted(bordering[0][pmap.face(g_over, 1)] | bordering[1][pmap.face(g_over, 0)]):
+            for over_first in (True, False) if g_over == g_under else (True,):
                 for sign in (1, -1):
-                    if g_under in under_gaps[sign]:
-                        legal.append(MoveInstance(
-                            R2_INSERT, gaps=(g_over, g_under), labels=(x, y),
-                            signs=(sign,), over_first=over_first,
-                        ))
+                    move = MoveInstance(R2_INSERT, gaps=(g_over, g_under), labels=(x, y),
+                                        signs=(sign,), over_first=over_first)
+                    if _is_legal(pmap, move):
+                        legal.append(move)
     return legal
 
 

@@ -358,6 +358,23 @@ def test_item_label_must_be_a_str(label):
     assert str(exc.value) == f"bad crossing label {label!r}"
 
 
+@pytest.mark.parametrize("word, signs, bad", [
+    ([("X", "a b"), ("O", "a b")], {"a b": 1}, ("X", "a b")),  # once read as a one-crossing code
+    (["Oa", "Ua"], {"a": 1}, "Oa"),
+    ([("O", "a"), ("U", "a")], {"a": 1}, ("O", "a")),  # equal to the items, but not items
+    ([Item(OVER, "a"), ("U", "a")], {"a": 1}, ("U", "a")),
+    ([Item(OVER, "a"), Item(UNDER, "a"), None], {"a": 1}, None),
+])
+def test_a_word_is_made_of_items(word, signs, bad):
+    message = f"a word is made of Items, got {bad!r}"
+    with pytest.raises(CodeValidationError) as exc:
+        KnotoidCode(word, signs)
+    assert str(exc.value) == message
+    with pytest.raises(CodeValidationError) as exc:
+        MultiKnotoidCode(word[:1], [word[1:]], signs)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("sign", [1.0, True, -1.0, 2, "1", None])
 def test_signs_must_be_the_ints_plus_and_minus_one(sign):
     message = f"sign of 'a' must be +1 or -1, got {sign!r}"

@@ -123,7 +123,8 @@ def random_product(rng: random.Random, target: int) -> KnotoidCode:
 
 
 def fixtures() -> list[KnotoidCode]:
-    return [code for path in sorted(FIXTURES.glob("[0-9]*.knd")) for _, code in read_code_blocks(path.read_text())]
+    return [code for path in sorted(FIXTURES.glob("[0-9]*.knd"))
+            for _, code in read_code_blocks(path.read_text())]
 
 
 @cache
@@ -187,7 +188,8 @@ def section_cli() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         for name, codes in (("planar", planar_codes), ("mixed", mixed)):
             path = Path(tmp) / f"{name}.knd"
-            path.write_text("\n---\n".join(f"name k{i}\n{serialize(code)}" for i, code in enumerate(codes)))
+            blocks = (f"name k{i}\n{serialize(code)}" for i, code in enumerate(codes))
+            path.write_text("\n---\n".join(blocks))
             for args in (["compute"], ["compute", "--json"], ["bound", "--odd-conjecture"], ["skein"],
                          ["check-moves", "--trials", "2", "--steps", "15", "--seed", "7"]):
                 lines.extend(run_cli([args[0], str(path), *args[1:]]))
@@ -245,7 +247,8 @@ def line_hash(line: str) -> str:
 
 
 def digest(lines: list[str]) -> str:
-    return f"{hashlib.sha256(chr(10).join(lines).encode()).hexdigest()} {len(lines)}"
+    text = "\n".join(lines)
+    return f"{hashlib.sha256(text.encode()).hexdigest()} {len(lines)}"
 
 
 @pytest.mark.parametrize("section", sorted(SECTIONS))
@@ -256,8 +259,10 @@ def test_corpus_section_matches_its_digest(section):
         return
     for i, (line, stored) in enumerate(zip(lines, hashes), 1):
         if line_hash(line) != stored:
-            pytest.fail(f"{section}: line {i} of {len(lines)} differs from the stored one; it now reads\n{line}")
-    pytest.fail(f"{section}: {len(lines)} lines against {len(hashes)} stored ({digest(lines)} against {head})")
+            pytest.fail(f"{section}: line {i} of {len(lines)} differs from the stored one; "
+                        f"it now reads\n{line}")
+    pytest.fail(f"{section}: {len(lines)} lines against {len(hashes)} stored "
+                f"({digest(lines)} against {head})")
 
 
 def write_corpus() -> None:

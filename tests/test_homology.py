@@ -1,9 +1,11 @@
 """Subgroup canonicalization and formal-sum arithmetic."""
 
+import itertools
+import math
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotoid_casson.homology import (
@@ -80,8 +82,17 @@ def test_module_element_takes_only_int_coefficients(coefficient):
 
 def test_module_scale_by_a_float_raises():
     # it once truncated each product: 2.5 * (1*<1>) read 2*<1>
-    with pytest.raises(TypeError, match="coefficient of <1> must be an int, got 2.5"):
+    with pytest.raises(TypeError, match="a ModuleElement is scaled by an int, got 2.5"):
         2.5 * cyc(1)
+
+
+@pytest.mark.parametrize("factor", [True, "3", 1.0])
+def test_module_scales_only_by_an_int(factor):
+    # True once returned the element itself, and "3" a message about "33", its product with 2
+    message = f"a ModuleElement is scaled by an int, got {factor!r}"
+    for scale in (lambda e: e * factor, lambda e: factor * e):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            scale(cyc(2, 2))
 
 
 def test_module_element_drops_zero_terms():
@@ -130,6 +141,47 @@ def test_hnf_stable_under_row_combination(rows, k):
         first = tuple(a + k * b for a, b in zip(rows[0], rows[1]))
         combined = [first] + list(rows[1:])
     assert hermite_normal_form(rows) == hermite_normal_form(combined)
+
+
+def det(m):
+    """Exact integer determinant, by expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * a * det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
+
+
+def minors_gcd(rows, r):
+    """The gcd of the r x r minors of ``rows``: 1 for r = 0, 0 when every one is 0."""
+    k = len(rows[0]) if rows else 0
+    return math.gcd(*(det([[row[c] for c in cols] for row in sub])
+                      for sub in itertools.combinations(rows, r)
+                      for cols in itertools.combinations(range(k), r)))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-20, 20), min_size=k, max_size=k), max_size=6)))
+def test_hnf_generates_the_same_subgroup_by_minors(rows):
+    # an oracle sharing nothing with the reduction: the shape, then every
+    # generator in the span by back-substitution, then the index by minors
+    basis = hermite_normal_form(rows)
+    assert all(any(row) for row in basis)
+    pivots = [next(c for c, a in enumerate(row) if a) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (row, p) in enumerate(zip(basis, pivots)):
+        assert row[p] > 0 and all(0 <= above[p] < row[p] for above in basis[:i])
+    for v in rows:
+        for row, p in zip(basis, pivots):
+            q, rest = divmod(v[p], row[p])
+            assert rest == 0
+            v = [a - q * b for a, b in zip(v, row)]
+        assert not any(v)
+    # so the input spans a sublattice of the basis's; with rank r, its index
+    # there is minors_gcd(rows, r) / minors_gcd(basis, r), which must be 1
+    r = len(basis)
+    assert minors_gcd(rows, r + 1) == 0
+    assert minors_gcd(rows, r) == minors_gcd(basis, r) != 0
 
 
 def test_module_cancellation():
