@@ -123,7 +123,7 @@ def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
     """
     realizable = trace_faces(code).realizable
     classes = _loop_classes(code) if realizable else [0] * len(code.labels)
-    plus, minus = _subgroup_sums(code, classes)
+    plus, minus = _subgroup_sums(code, classes, code.label_signs)
     values = CassonValues(sum(plus.values()), sum(minus.values()))
     if not realizable:
         return InvariantReport(name, *values, None, None, None, None,

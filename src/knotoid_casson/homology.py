@@ -39,6 +39,9 @@ def hermite_normal_form(rows: Iterable[Iterable[int]]) -> tuple[HomologyClass, .
     k = len(mat[0]) if mat else 0
     if any(len(r) != k for r in mat):
         raise ValueError("generators have mixed ranks")
+    for row in mat:
+        if not all(type(a) is int for a in row):  # as in as_class
+            raise TypeError(f"a generator is a vector of ints, got {tuple(row)!r}")
     basis: list[list[int]] = []
     for col in range(k):
         # Euclid down the column: a zero entry is never picked, so zero rows drop out

@@ -52,6 +52,25 @@ def test_rank_mismatch_rejected():
         Subgroup.generated_by((0, 0), (0,))
 
 
+@pytest.mark.parametrize("rows, bad", [
+    ([(2.5,), (1,)], (2.5,)),  # once gave ((0.5,),)
+    ([(True,)], (True,)),  # once gave ((True,),)
+    ([(1, "a")], (1, "a")),  # once came back unchanged
+    ([(1, 0), (0, 2), (1.0, 1)], (1.0, 1)),
+    ([[1, 2], [3, None], [4.0, 0]], (3, None)),  # the first such row is named
+])
+def test_hnf_entries_are_never_coerced(rows, bad):
+    message = f"a generator is a vector of ints, got {bad!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        hermite_normal_form(rows)
+
+
+def test_hnf_mixed_ranks_take_precedence_over_entry_types():
+    for rows in ([(1.5,), (1, 0)], [(1, "a"), (True,)], [(0, 0), (2.5,)]):
+        with pytest.raises(ValueError, match="mixed ranks"):
+            hermite_normal_form(rows)
+
+
 def test_empty_class_and_no_generators_rejected():
     with pytest.raises(ValueError, match="rank >= 1"):
         as_class(())

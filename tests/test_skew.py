@@ -325,18 +325,40 @@ def first_unclassed(code: KnotoidCode, classes) -> str | None:
     one; None when every skew pair is classed."""
     upper, lower = skew_pairs(code)
     pos = code.positions()
+    partners_of: dict[str, list[str]] = {}
+    for p in upper + lower:
+        partners_of.setdefault(p.first, []).append(p.second)
     for end, item in enumerate(code.word):
         x = item.label
         if end != max(pos[x]):
             continue
         # the first crossing of a skew pair is the one that closes first
-        partners = [p.second for p in upper + lower if p.first == x]
+        partners = partners_of.get(x, [])
         if partners and x not in classes:
             return x
         missing = sorted((min(pos[y]), y) for y in partners if y not in classes)
         if missing:
             return missing[0][1]
     return None
+
+
+def assert_pattern_order(code: KnotoidCode, upper, lower) -> None:
+    """The listing order that ``test_deterministic_order`` asserts."""
+    pos = code.positions()
+    upper_keys = [(pos[p.first][0], pos[p.second][1]) for p in upper]
+    lower_keys = [(pos[p.first][1], pos[p.second][0]) for p in lower]
+    assert upper_keys == sorted(upper_keys)
+    assert lower_keys == sorted(lower_keys)
+
+
+def assert_one_missing_class_is_named(code: KnotoidCode, classes, label: str) -> None:
+    """Without the class of ``label``, a crossing in some skew pair, the
+    error names what ``first_unclassed`` names: that crossing."""
+    partial = {lab: c for lab, c in classes.items() if lab != label}
+    assert first_unclassed(code, partial) == label
+    with pytest.raises(KeyError) as raised:
+        casson_homological(code, partial)
+    assert raised.value.args == (f"no homology class for crossing {label!r}",)
 
 
 def test_casson_pm_matches_brute_force_on_products_of_41_to_53():
@@ -376,6 +398,9 @@ def test_rebased_sweep_matches_the_listing_on_products_of_41_to_300(rng, n):
     paired = {lab for p in upper + lower for lab in (p.first, p.second)}
     partial = {lab: c for lab, c in rank_one.items() if lab in paired or rng.random() < 0.5}
     assert casson_homological(code, partial) == reference_casson_homological(code, partial, pairs)
+    assert_pattern_order(code, upper, lower)
+    if paired:
+        assert_one_missing_class_is_named(code, rank_one, rng.choice(sorted(paired)))
 
 
 @pytest.mark.parametrize("j", [1, 2, 15, 16, 31, 32, 100])
@@ -393,6 +418,8 @@ def test_rebased_sweep_on_the_sharpness_family_which_has_no_interior_cut(j):
     ):
         expected = reference_casson_homological(code, classes, pairs)
         assert casson_homological(code, classes) == expected
+    assert_pattern_order(code, upper, lower)
+    assert_one_missing_class_is_named(code, classes, rng.choice(code.labels))
 
 
 def test_rebased_sweep_on_kink_chains_which_have_a_cut_after_every_crossing():
