@@ -100,17 +100,13 @@ def generate_family(j: int) -> KnotoidCode:
     The word interleaves over passes of odd crossings with under passes of
     even ones, then swaps the roles; j = 1 is the 2-crossing fixture.
     """
+    if type(j) is not int:
+        raise TypeError(f"a family index is an int, got {j!r}")
     if j < 1:
         raise ValueError("family index must be >= 1")
     labels = [f"x{i}" for i in range(1, 2 * j + 1)]
-    word: list[Item] = []
-    for i in range(j):
-        word.append(Item(OVER, labels[2 * i]))
-        word.append(Item(UNDER, labels[2 * i + 1]))
-    for i in range(j):
-        word.append(Item(UNDER, labels[2 * i]))
-        word.append(Item(OVER, labels[2 * i + 1]))
-    return KnotoidCode(tuple(word), {lab: 1 for lab in labels})
+    half = [Item(UNDER if k % 2 else OVER, lab) for k, lab in enumerate(labels)]
+    return KnotoidCode(half + [it.flipped() for it in half], dict.fromkeys(labels, 1))
 
 
 def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
@@ -220,12 +216,8 @@ def summary_table(reports: Iterable[InvariantReport]) -> str:
         d = r.to_json_dict()
         rows.append((d["name"], str(d["c_plus"]), str(d["c_minus"]), d["ch_plus"], d["ch_minus"]))
     widths = [max(len(row[i]) for row in rows) for i in range(5)]
-    lines = []
-    for idx, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-        if idx == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    rows.insert(1, ["-" * w for w in widths])
+    return "\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in rows)
 
 
 def evaluate_catalog(directory: str | Path, out_dir: str | Path) -> list[InvariantReport]:

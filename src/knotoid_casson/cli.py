@@ -32,7 +32,6 @@ from .analysis import (
 )
 from .codes import CodeError, KnotoidCode, serialize
 from .moves import iter_walk
-from .planar import NonRealizableError
 from .skein import verify_skein
 
 
@@ -191,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CodeError, NonRealizableError, OSError) as exc:
+    except (CodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path

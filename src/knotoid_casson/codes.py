@@ -34,13 +34,14 @@ from collections.abc import Iterable, Mapping, Sequence
 OVER = "O"
 UNDER = "U"
 
-_LABEL_RE = re.compile(r"[A-Za-z0-9]+'*")
+_LABEL = r"[A-Za-z0-9]+'*"
+_LABEL_RE = re.compile(_LABEL)
 # The longest prefix of an item or sign section made of valid tokens, with the
 # whitespace after them; the first bad token, if any, starts where it ends.  A
 # token must be followed by whitespace or the end, so it matches in one way
 # only, and a match takes time linear in the section.
-_ITEMS_RE = re.compile(r"(?:\s*[OU][A-Za-z0-9]+'*(?=\s|\Z))*\s*")
-_SIGNS_RE = re.compile(r"(?:\s*[A-Za-z0-9]+'*=[+-]1(?=\s|\Z))*\s*")
+_ITEMS_RE = re.compile(rf"(?:\s*[OU]{_LABEL}(?=\s|\Z))*\s*")
+_SIGNS_RE = re.compile(rf"(?:\s*{_LABEL}=[+-]1(?=\s|\Z))*\s*")
 
 
 class CodeError(ValueError):
@@ -309,11 +310,9 @@ def _knotoid_from_lines(lines: list[str]) -> KnotoidCode:
         return KnotoidCode((), {})
     if len(lines) > 1:
         raise CodeSyntaxError("a knotoid code is a single line (use --- between blocks)")
-    parts = lines[0].split(";")
-    if len(parts) > 2:
+    item_part, _, sign_part = lines[0].partition(";")
+    if ";" in sign_part:
         raise CodeSyntaxError("more than one ';' in code line")
-    item_part = parts[0]
-    sign_part = parts[1] if len(parts) == 2 else ""
     return KnotoidCode(_parse_items(item_part), _parse_signs(sign_part))
 
 

@@ -164,8 +164,9 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
     each triangle block's two items swapped); ``codes._read_passes`` reads the
     labels and positions off the new word, without the whole-code check.  An
     insertion is checked as ``_inserted_blocks`` says and for what it brings
-    in: labels that are well formed, fresh and distinct, and the int sign +1
-    or -1.
+    in: well-formed labels that each add one sign, so fresh and distinct, and
+    the int sign +1 or -1.  Any other raises, as ``IllegalMoveError``, the
+    first check of ``Item`` or of ``KnotoidCode`` that its result fails.
     """
     kind = move.kind
     word, signs = list(code.word), dict(code.signs)
@@ -173,11 +174,17 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
         for p, block in _inserted_blocks(code, move):
             word[p:p] = block
         (sign,) = move.signs
-        added = set(move.labels)
-        if not (type(sign) is int and sign in (1, -1) and len(added) == len(move.labels)
-                and added.isdisjoint(signs) and all(map(_LABEL_RE.fullmatch, added))):
-            raise _invalid_insertion(move, word, signs)
-        signs.update(zip(move.labels, (sign, -sign)))
+        # a sign that is not an int is left to the code to reject, like any other bad sign
+        signs.update(zip(move.labels, (sign, -sign if type(sign) is int else sign)))
+        if not (type(sign) is int and sign in (1, -1)
+                and len(signs) == len(code.signs) + len(move.labels)
+                and all(map(_LABEL_RE.fullmatch, move.labels))):
+            try:
+                for label in move.labels:
+                    Item(OVER, label)  # the checks of the items the blocks are made of
+                KnotoidCode(word, signs)
+            except CodeValidationError as exc:
+                raise IllegalMoveError(f"{kind} result is not a valid code: {exc}") from None
     elif kind in (R1_DELETE, R2_DELETE):
         # the blocks of a site never overlap, so deleting the later one first keeps the other's position
         for p in sorted(move.positions, reverse=True):
@@ -191,22 +198,6 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
         raise IllegalMoveError(f"unknown move kind {kind!r}")
     word = tuple(word)
     return _code_from_fields(word, signs, *_read_passes(word))
-
-
-def _invalid_insertion(move: MoveInstance, word: list[Item], signs: dict[str, int]) -> IllegalMoveError:
-    """The error of an insertion that brings in a bad label or sign, given the
-    rewritten word and a copy of the code's signs, which it updates: the first
-    check of ``Item`` or of ``KnotoidCode`` that the result fails."""
-    (sign,) = move.signs
-    try:
-        for label in move.labels:
-            Item(OVER, label)  # the checks of the items the blocks are made of
-        # a sign that is not an int is left to the code to reject, like any other bad sign
-        signs.update(zip(move.labels, (sign, -sign if type(sign) is int else sign)))
-        KnotoidCode(word, signs)
-    except CodeValidationError as exc:
-        return IllegalMoveError(f"{move.kind} result is not a valid code: {exc}")
-    raise AssertionError(f"{move} brings in nothing invalid")
 
 
 def _bigon_sides(sign: int, parallel: bool) -> tuple[int, int]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .codes import OVER, KnotoidCode, MultiKnotoidCode, switch_crossing
+from .codes import OVER, UNDER, KnotoidCode, MultiKnotoidCode, switch_crossing
 from .skew import casson_pm
 
 
@@ -46,8 +46,8 @@ def conway_triple(code: KnotoidCode, label: str) -> ConwayTriple:
     first, second = sorted((over_pos, under_pos))
     circle = d1.word[first + 1:second]
     segment = d1.word[:first] + d1.word[second + 1:]
-    kept = {it.label for it in segment} | {it.label for it in circle}
-    signs = {lab: s for lab, s in d1.signs.items() if lab in kept}
+    # segment and circle hold both passes of every other crossing
+    signs = {lab: s for lab, s in d1.signs.items() if lab != label}
     d0 = MultiKnotoidCode(segment, (circle,), signs)
     return ConwayTriple(label, d1, d2, d0, d1.signs[label])
 
@@ -57,16 +57,11 @@ def lk_pm(d0: MultiKnotoidCode, s1: int) -> tuple[int, int]:
     if len(d0.circles) != 1:
         raise ValueError("smoothing must have exactly one circle")
     circle_labels = {it.label for it in d0.circles[0]}
-    lk_plus = 0
-    lk_minus = 0
-    for it in d0.segment:
-        if it.label not in circle_labels:
-            continue
-        if it.kind == OVER:
-            lk_plus += d0.signs[it.label]
-        else:
-            lk_minus += d0.signs[it.label]
-    return s1 * lk_plus, s1 * lk_minus
+    counts = {OVER: 0, UNDER: 0}
+    for kind, label in d0.segment:
+        if label in circle_labels:
+            counts[kind] += d0.signs[label]
+    return s1 * counts[OVER], s1 * counts[UNDER]
 
 
 class SkeinReport(namedtuple("SkeinReport", "crossing s1 lhs_plus rhs_plus lhs_minus rhs_minus ok")):

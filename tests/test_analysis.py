@@ -133,6 +133,13 @@ def test_family_rejects_nonpositive():
         generate_family(0)
 
 
+@pytest.mark.parametrize("j", [True, 2.0, "2", None])
+def test_family_index_is_never_coerced(j):
+    with pytest.raises(TypeError) as exc:
+        generate_family(j)
+    assert str(exc.value) == f"a family index is an int, got {j!r}"
+
+
 def test_family_counts_and_sharpness():
     for j in range(1, 9):
         code = generate_family(j)
@@ -314,6 +321,20 @@ def test_summary_table_layout():
     assert lines[0].split() == ["name", "C+", "C-", "CH+", "CH-"]
     assert lines[2].split() == ["2_1", "1", "0", "1*<1>", "0"]
     assert lines[3].split() == ["4_6", "1", "0", "1*<2>", "0"]
+
+
+def test_summary_table_of_no_reports_is_the_header_and_rule():
+    assert summary_table([]) == "name  C+  C-  CH+  CH-\n----  --  --  ---  ---"
+
+
+def test_summary_table_virtual_row_sets_the_ch_widths():
+    virtual = full_report(parse_knotoid_code("Oa Ob Ua Ub ; a=+1 b=+1"), "v")
+    assert summary_table([full_report(two_one(), "2_1"), virtual]) == (
+        "name  C+  C-  CH+      CH-\n"
+        "----  --  --  -------  -------\n"
+        "2_1   1   0   1*<1>    0\n"
+        "v     0   0   virtual  virtual"
+    )
 
 
 def test_catalog_rejects_multiknotoid_entries(tmp_path):

@@ -205,6 +205,28 @@ def test_insertions_with_two_faults_raise_the_first_check_of_the_result(move, me
         assert outcome(fn, code, move) == expected
 
 
+def test_random_insertions_match_the_reference():
+    # labels fresh, reused, repeated or malformed; signs of every type; gaps one
+    # past either end: apply raises what the reference raises, or builds its code
+    rng = random.Random(2310)
+    signs = (1, -1, 0, 2, True, 1.0, "1", None)
+    for _ in range(300):
+        code = random_code(rng, rng.randint(0, 6))
+        pool = ["n0", "n1", "a b", "", "x'", *code.labels]
+        end = len(code.word) + 1
+        for _ in range(10):
+            kink = rng.random() < 0.5
+            count = 1 if kink else 2
+            move = MoveInstance(
+                R1_INSERT if kink else R2_INSERT,
+                gaps=tuple(rng.randint(-1, end) for _ in range(count)),
+                labels=tuple(rng.choice(pool) for _ in range(count)),
+                signs=(rng.choice(signs),), over_first=rng.random() < 0.5,
+                parallel=kink or rng.random() < 0.5,
+            )
+            assert outcome(apply, code, move) == outcome(reference_apply, code, move), move
+
+
 def test_unknown_move_kind_raises_illegal_move():
     move = MoveInstance("R4", positions=(0,), labels=("a",))
     for fn in (lambda m: apply(two_one(), m), inverse_move):

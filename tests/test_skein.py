@@ -47,6 +47,16 @@ def test_conway_triple_kink_has_empty_circle():
     assert lk_pm(t.d0, t.s1) == (0, 0)
 
 
+def test_smoothing_keeps_the_sign_of_every_crossing_but_the_resolved_one():
+    rng = random.Random(2309)
+    for _ in range(300):
+        code = random_code(rng, rng.randint(0, 8))
+        for lab in code.labels:
+            t = conway_triple(code, lab)
+            assert t.d0.signs.keys() == set(code.labels) - {lab}, (serialize(code), lab)
+            assert t.d0.signs.items() <= t.d1.signs.items()
+
+
 def test_lk_two_one_at_a():
     t = conway_triple(two_one(), "a")
     assert lk_pm(t.d0, t.s1) == (1, 0)
