@@ -11,9 +11,9 @@ Subcommands (long-form flags only):
     bound FILE [--odd-conjecture]  crossing-number lower bound
     catalog-summary DIR            print the summary table for a catalog
 
-Exit status: 0 on success, 1 on invalid input or an OS error on a file it
-names, 2 on internal failures (including an invariance violation found by
-check-moves, which would be a library bug).
+Exit status: 0 on success (``--help`` included), 1 on a usage error, invalid
+input or an OS error on a file it names, 2 on internal failures (including an
+invariance violation found by check-moves, which would be a library bug).
 """
 
 from __future__ import annotations
@@ -187,7 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its message; it exits 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (CodeError, OSError) as exc:

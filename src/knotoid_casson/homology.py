@@ -76,11 +76,6 @@ class Subgroup(namedtuple("Subgroup", "ambient_rank basis")):
             raise ValueError("need at least one generator (possibly zero)")
         return cls(len(vecs[0]), hermite_normal_form(vecs))
 
-    @classmethod
-    def cyclic(cls, j: int) -> "Subgroup":
-        """The subgroup <j> = jZ of Z (annulus homology); <j> == <-j>."""
-        return cls.generated_by(j)
-
     @property
     def is_trivial(self) -> bool:
         return not self.basis
@@ -113,14 +108,6 @@ class ModuleElement:
         elem = object.__new__(cls)
         elem._terms = terms
         return elem
-
-    @classmethod
-    def zero(cls) -> "ModuleElement":
-        return cls()
-
-    @classmethod
-    def single(cls, subgroup: Subgroup, coefficient: int = 1) -> "ModuleElement":
-        return cls({subgroup: coefficient})
 
     def terms(self) -> dict[Subgroup, int]:
         return dict(self._terms)

@@ -242,18 +242,15 @@ def apply(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
 def inverse_move(move: MoveInstance) -> MoveInstance:
     """The move undoing ``move`` at the corresponding site of the result, once
     an insertion has its kind's shape and a deletion a position and a label
-    per block and one sign."""
+    per block, one sign and no gaps."""
     kind = move.kind
     if (kind in (R1_INSERT, R2_INSERT) and not _has_insertion_shape(move)
-            or kind in (R1_DELETE, R2_DELETE) and not (len(move.signs) == 1
+            or kind in (R1_DELETE, R2_DELETE) and not (len(move.signs) == 1 and not move.gaps
                 and len(move.positions) == len(move.labels) == 1 + (kind == R2_DELETE))):
         raise IllegalMoveError(f"malformed {kind}: {move}")
-    if kind == R1_INSERT:
-        return MoveInstance(R1_DELETE, positions=move.gaps, labels=move.labels,
-                            signs=move.signs, over_first=move.over_first)
-    if kind == R1_DELETE:
-        return MoveInstance(R1_INSERT, gaps=move.positions, labels=move.labels,
-                            signs=move.signs, over_first=move.over_first)
+    if kind in (R1_INSERT, R1_DELETE):  # a kink's gap in the code is its position in the result
+        return MoveInstance(R1_DELETE if kind == R1_INSERT else R1_INSERT, move.positions, move.gaps,
+                            move.labels, move.signs, move.over_first)
     if kind == R2_INSERT:
         return MoveInstance(R2_DELETE, positions=_insert_positions(move), labels=move.labels,
                             signs=move.signs, parallel=move.parallel)
@@ -282,24 +279,24 @@ def r1_delete_sites(code: KnotoidCode) -> list[MoveInstance]:
     ]
 
 
-def _over_blocks(word: tuple[Item, ...]) -> list[tuple[int, str, str]]:
-    """(p, a, b) for every block "Oa Ob" at positions p and p + 1."""
+def _over_blocks(code: KnotoidCode) -> list[tuple[int, str, str]]:
+    """(p, a, b) for every block "Oa Ob" of opposite signs at positions p and p + 1."""
+    signs = code.signs
     return [
         (p, first.label, second.label)
-        for p, (first, second) in enumerate(zip(word, word[1:]))
-        if first.kind == OVER and second.kind == OVER
+        for p, (first, second) in enumerate(zip(code.word, code.word[1:]))
+        if first.kind == OVER and second.kind == OVER and signs[first.label] == -signs[second.label]
     ]
 
 
 def r2_delete_sites(code: KnotoidCode) -> list[MoveInstance]:
     """Over blocks "Ox Oy" of opposite signs below "Ux Uy" (parallel) or "Uy Ux"."""
-    signs = code.signs
     under = dict(zip(code.labels, code.under_pos))
     return [
         MoveInstance(R2_DELETE, positions=(p, min(under[x], under[y])), labels=(x, y),
-                     signs=(signs[x],), parallel=under[x] < under[y])
-        for p, x, y in _over_blocks(code.word)
-        if signs[x] == -signs[y] and abs(under[x] - under[y]) == 1
+                     signs=(code.signs[x],), parallel=under[x] < under[y])
+        for p, x, y in _over_blocks(code)
+        if abs(under[x] - under[y]) == 1
     ]
 
 
@@ -309,15 +306,14 @@ def r3_sites(code: KnotoidCode) -> list[MoveInstance]:
     word, signs = code.word, code.signs
     over, under = dict(zip(code.labels, code.over_pos)), dict(zip(code.labels, code.under_pos))
     out = []
-    for p1, a, b in _over_blocks(word):
-        if signs[a] == -signs[b]:
-            x, y, d = (a, b, 1) if signs[a] == 1 else (b, a, -1)
-            q = under[y] + d  # the under pass of z; positions -1 and 2n hold no item
-            if 0 <= q < len(word) and word[q].kind == UNDER:
-                z = word[q].label
-                if signs[z] == 1 and over[z] == under[x] - d:
-                    p2, p3 = min(under[y], q), min(over[z], under[x])
-                    out.append(MoveInstance(R3, positions=(p1, p2, p3), labels=(x, y, z)))
+    for p1, a, b in _over_blocks(code):
+        x, y, d = (a, b, 1) if signs[a] == 1 else (b, a, -1)
+        q = under[y] + d  # the under pass of z; positions -1 and 2n hold no item
+        if 0 <= q < len(word) and word[q].kind == UNDER:
+            z = word[q].label
+            if signs[z] == 1 and over[z] == under[x] - d:
+                p2, p3 = min(under[y], q), min(over[z], under[x])
+                out.append(MoveInstance(R3, positions=(p1, p2, p3), labels=(x, y, z)))
     return out
 
 

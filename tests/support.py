@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from knotoid_casson.analysis import (
     InvariantReport,
     crossing_lower_bound,
+    full_report,
     generate_family,
     properness_certificate,
 )
@@ -86,6 +87,17 @@ def five_nineteen() -> KnotoidCode:
 
 def named_fixtures() -> dict[str, KnotoidCode]:
     return {"2_1": two_one(), "4_6": four_six(), "5_19": five_nineteen()}
+
+
+def cyc(j: int, coeff: int = 1) -> ModuleElement:
+    """``coeff`` times the annulus subgroup <j>."""
+    return ModuleElement({Subgroup.generated_by(j): coeff})
+
+
+def invariant_row(code: KnotoidCode, name: str = "") -> tuple:
+    """(C+, C-, CH+, CH-) of ``code``: what a Reidemeister move must keep."""
+    r = full_report(code, name)
+    return (r.c_plus, r.c_minus, r.ch_plus, r.ch_minus)
 
 
 def random_code(rng: random.Random, n_crossings: int) -> KnotoidCode:

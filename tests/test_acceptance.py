@@ -18,7 +18,7 @@ from knotoid_casson.analysis import (
     properness_certificate,
 )
 from knotoid_casson.codes import concat_product, mirror, reverse, switch_all
-from knotoid_casson.homology import ModuleElement, Subgroup
+from knotoid_casson.homology import ModuleElement
 from knotoid_casson.moves import iter_walk
 from knotoid_casson.planar import NonRealizableError, all_loop_classes, build_planar_map
 from knotoid_casson.skein import verify_skein
@@ -27,8 +27,10 @@ from knotoid_casson.skew import CassonValues, casson_homological, casson_pm, ske
 from support import (
     all_simple_dual_paths,
     brute_force_skew_pairs,
+    cyc,
     five_nineteen,
     four_six,
+    invariant_row,
     loop_class_along,
     named_fixtures,
     random_code,
@@ -46,15 +48,6 @@ def criterion(number, description):
         raise
     elapsed = time.perf_counter() - started
     print(f"criterion {number}: PASS - {description} ({elapsed:.3f}s)")
-
-
-def cyc(j, coeff=1):
-    return ModuleElement.single(Subgroup.cyclic(j), coeff)
-
-
-def invariant_row(code):
-    r = full_report(code)
-    return (r.c_plus, r.c_minus, r.ch_plus, r.ch_minus)
 
 
 def timed_report(code, repeats=3):
@@ -98,7 +91,7 @@ def test_criterion_1_two_one_fixture():
         report, best = timed_report(two_one())
         assert (report.c_plus, report.c_minus) == (1, 0)
         assert report.ch_plus == cyc(1)
-        assert report.ch_minus == ModuleElement.zero()
+        assert report.ch_minus == ModuleElement()
         upper, lower = skew_pairs(two_one())
         assert [(p.first, p.second, p.sign) for p in upper] == [("a", "b", 1)]
         assert lower == []
@@ -111,7 +104,7 @@ def test_criterion_2_four_six_fixture():
         report, best = timed_report(four_six())
         assert (report.c_plus, report.c_minus) == (1, 0)
         assert report.ch_plus == cyc(2)
-        assert report.ch_minus == ModuleElement.zero()
+        assert report.ch_minus == ModuleElement()
         classes = all_loop_classes(four_six())
         for flip in (1, -1):
             if all(classes[lab] == (flip * g,) for lab, g in
@@ -126,8 +119,8 @@ def test_criterion_3_five_nineteen_fixture():
     with criterion(3, "5_19 all invariants vanish, certificate Inconclusive"):
         report = full_report(five_nineteen())
         assert (report.c_plus, report.c_minus) == (0, 0)
-        assert report.ch_plus == ModuleElement.zero()
-        assert report.ch_minus == ModuleElement.zero()
+        assert report.ch_plus == ModuleElement()
+        assert report.ch_minus == ModuleElement()
         upper, lower = skew_pairs(five_nineteen())
         assert upper == []
         assert {(p.first, p.second) for p in lower} == {("a", "d"), ("c", "d")}
@@ -137,9 +130,9 @@ def test_criterion_3_five_nineteen_fixture():
 def test_criterion_4_table_rows():
     with criterion(4, "table rows 2_1/4_6/5_19 exact; synthetic row is ProperByCH"):
         expected = {
-            "2_1": (1, 0, cyc(1), ModuleElement.zero()),
-            "4_6": (1, 0, cyc(2), ModuleElement.zero()),
-            "5_19": (0, 0, ModuleElement.zero(), ModuleElement.zero()),
+            "2_1": (1, 0, cyc(1), ModuleElement()),
+            "4_6": (1, 0, cyc(2), ModuleElement()),
+            "5_19": (0, 0, ModuleElement(), ModuleElement()),
         }
         for name, code in named_fixtures().items():
             r = full_report(code, name)

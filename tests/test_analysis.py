@@ -34,6 +34,7 @@ from support import (
     TWO_ONE_TEXT,
     canonical_relabel,
     code_strategy,
+    cyc,
     five_nineteen,
     four_six,
     named_fixtures,
@@ -46,22 +47,18 @@ from support import (
 )
 
 
-def cyc(j, coeff=1):
-    return ModuleElement.single(Subgroup.cyclic(j), coeff)
-
-
 def test_bound_examples():
-    assert crossing_lower_bound(cyc(1), ModuleElement.zero()) == 2
-    assert crossing_lower_bound(ModuleElement.zero(), ModuleElement.zero()) == 0
+    assert crossing_lower_bound(cyc(1), ModuleElement()) == 2
+    assert crossing_lower_bound(ModuleElement(), ModuleElement()) == 0
     four = cyc(1, 3) + cyc(2)
     assert four.norm() == 4
-    assert crossing_lower_bound(four, ModuleElement.zero()) == 4
+    assert crossing_lower_bound(four, ModuleElement()) == 4
 
 
 @given(st.integers(0, 200))
 def test_bound_minimality(target):
     e = cyc(1, target)
-    n = crossing_lower_bound(e, ModuleElement.zero())
+    n = crossing_lower_bound(e, ModuleElement())
     assert n * n // 4 >= target
     if n:
         assert (n - 1) * (n - 1) // 4 < target
@@ -69,7 +66,7 @@ def test_bound_minimality(target):
 
 def test_bound_matches_the_search_below_200000():
     # the least n with floor(n^2/4) >= t grows with t, so one search serves every t
-    trivial, whole = Subgroup.cyclic(0), Subgroup.cyclic(1)
+    trivial, whole = Subgroup.generated_by(0), Subgroup.generated_by(1)
     n = 0
     for t in range(200_000):
         while n * n // 4 < t:
@@ -79,8 +76,8 @@ def test_bound_matches_the_search_below_200000():
 
 
 def test_properness_fixture_values():
-    assert properness_certificate(CassonValues(1, 0), cyc(1), ModuleElement.zero()) == PROPER_BY_C
-    assert properness_certificate(CassonValues(0, 0), ModuleElement.zero(), ModuleElement.zero()) == INCONCLUSIVE
+    assert properness_certificate(CassonValues(1, 0), cyc(1), ModuleElement()) == PROPER_BY_C
+    assert properness_certificate(CassonValues(0, 0), ModuleElement(), ModuleElement()) == INCONCLUSIVE
 
 
 def test_properness_synthetic_row():
@@ -96,14 +93,13 @@ def test_properness_trivial_subgroup_terms_stay_inconclusive():
 
 def test_properness_rank_two_sums():
     # C times the trivial subgroup of Z^2, not of Z, is what leaves C+ = C- inconclusive
-    trivial = ModuleElement.single(Subgroup.generated_by((0, 0)), 2)
+    trivial = ModuleElement({Subgroup.generated_by((0, 0)): 2})
     assert properness_certificate(CassonValues(2, 2), trivial, trivial) == INCONCLUSIVE
-    proper = ModuleElement.single(Subgroup.generated_by((1, 0), (0, 2)), 2)
+    proper = ModuleElement({Subgroup.generated_by((1, 0), (0, 2)): 2})
     assert properness_certificate(CassonValues(2, 2), proper, trivial) == PROPER_BY_CH
     assert properness_certificate(CassonValues(2, 2), trivial, proper) == PROPER_BY_CH
-    split = trivial + ModuleElement.single(Subgroup.generated_by((1, 0))) - ModuleElement.single(
-        Subgroup.generated_by((0, 1))
-    )
+    x_axis, y_axis = Subgroup.generated_by((1, 0)), Subgroup.generated_by((0, 1))
+    split = trivial + ModuleElement({x_axis: 1}) - ModuleElement({y_axis: 1})
     assert properness_certificate(CassonValues(2, 2), split, split) == PROPER_BY_CH
 
 
@@ -196,7 +192,7 @@ def test_full_report_two_one():
     r = full_report(two_one(), "2_1")
     assert (r.c_plus, r.c_minus) == (1, 0)
     assert r.ch_plus == cyc(1)
-    assert r.ch_minus == ModuleElement.zero()
+    assert r.ch_minus == ModuleElement()
     assert r.norm_sum == 1
     assert r.crossing_lower_bound == 2
     assert r.properness == PROPER_BY_C
@@ -208,15 +204,15 @@ def test_full_report_four_six():
     r = full_report(four_six(), "4_6")
     assert (r.c_plus, r.c_minus) == (1, 0)
     assert r.ch_plus == cyc(2)
-    assert r.ch_minus == ModuleElement.zero()
+    assert r.ch_minus == ModuleElement()
     assert r.properness == PROPER_BY_C
 
 
 def test_full_report_five_nineteen():
     r = full_report(five_nineteen(), "5_19")
     assert (r.c_plus, r.c_minus) == (0, 0)
-    assert r.ch_plus == ModuleElement.zero()
-    assert r.ch_minus == ModuleElement.zero()
+    assert r.ch_plus == ModuleElement()
+    assert r.ch_minus == ModuleElement()
     assert r.norm_sum == 0
     assert r.crossing_lower_bound == 0
     assert r.properness == INCONCLUSIVE
@@ -230,7 +226,7 @@ def test_full_report_properness_reads_both_refinements():
     for diagram, zero in ((code, "ch_minus"), (switch_all(code), "ch_plus")):
         report = full_report(diagram, "p")
         assert (report.c_plus, report.c_minus) == (0, 0)
-        assert getattr(report, zero) == ModuleElement.zero()
+        assert getattr(report, zero) == ModuleElement()
         assert report.properness == PROPER_BY_CH
         assert report.to_json_dict() == reference_report(diagram, "p").to_json_dict()
 

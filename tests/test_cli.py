@@ -277,6 +277,34 @@ def test_internal_key_error_exit_2(two_one_file, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["compute"], "the following arguments are required: file"),
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
+    (["compute", "x.knd", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    (["check-moves", "x.knd", "--steps", "many"], "argument --steps: invalid int value: 'many'"),
+    (["family", "--j", "3.5"], "argument --j: invalid int value: '3.5'"),
+])
+def test_usage_error_exits_1_with_the_argparse_message(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr("sys.argv", ["knotoid-casson", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: knotoid-casson")
+    assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compute", "--help"]])
+def test_help_exits_0(monkeypatch, capsys, argv):
+    monkeypatch.setattr("sys.argv", ["knotoid-casson", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: knotoid-casson")
+
+
 def _files(root):
     return sorted(p.relative_to(root) for p in root.rglob("*"))
 

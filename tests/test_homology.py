@@ -15,29 +15,27 @@ from knotoid_casson.homology import (
     hermite_normal_form,
 )
 
-
-def cyc(j, coeff=1):
-    return ModuleElement.single(Subgroup.cyclic(j), coeff)
+from support import cyc
 
 
 def test_rank_one_generators_gcd():
-    assert Subgroup.generated_by(1, 2) == Subgroup.cyclic(1)
-    assert Subgroup.generated_by(2, 2) == Subgroup.cyclic(2)
-    assert Subgroup.generated_by(0, 0) == Subgroup.cyclic(0)
-    assert Subgroup.generated_by(6, 4) == Subgroup.cyclic(2)
-    assert Subgroup.generated_by(0, 3) == Subgroup.cyclic(3)
+    assert Subgroup.generated_by(1, 2) == Subgroup.generated_by(1)
+    assert Subgroup.generated_by(2, 2) == Subgroup.generated_by(2)
+    assert Subgroup.generated_by(0, 0) == Subgroup.generated_by(0)
+    assert Subgroup.generated_by(6, 4) == Subgroup.generated_by(2)
+    assert Subgroup.generated_by(0, 3) == Subgroup.generated_by(3)
 
 
 def test_rank_one_sign_blind_and_symmetric():
-    assert Subgroup.cyclic(3) == Subgroup.cyclic(-3)
+    assert Subgroup.generated_by(3) == Subgroup.generated_by(-3)
     assert Subgroup.generated_by(4, 6) == Subgroup.generated_by(6, 4)
     assert Subgroup.generated_by(-4, 6) == Subgroup.generated_by(4, -6)
 
 
 def test_trivial_subgroup_is_distinct_basis_element():
-    assert Subgroup.cyclic(0).is_trivial
-    assert str(Subgroup.cyclic(0)) == "<0>"
-    assert cyc(0) != ModuleElement.zero()
+    assert Subgroup.generated_by(0).is_trivial
+    assert str(Subgroup.generated_by(0)) == "<0>"
+    assert cyc(0) != ModuleElement()
     assert (cyc(0) + cyc(1)).norm() == 2
 
 
@@ -96,7 +94,7 @@ def test_module_element_takes_only_int_coefficients(coefficient):
     # 0.5 once made a term 0*<2> that was truthy and unequal to zero
     message = f"coefficient of <2> must be an int, got {coefficient!r}"
     with pytest.raises(TypeError, match=re.escape(message)):
-        ModuleElement({Subgroup.cyclic(2): coefficient})
+        ModuleElement({Subgroup.generated_by(2): coefficient})
 
 
 def test_module_scale_by_a_float_raises():
@@ -115,9 +113,9 @@ def test_module_scales_only_by_an_int(factor):
 
 
 def test_module_element_drops_zero_terms():
-    elem = ModuleElement({Subgroup.cyclic(2): 0, Subgroup.cyclic(3): -1})
-    assert elem == cyc(3, -1) and elem.terms() == {Subgroup.cyclic(3): -1}
-    zero = ModuleElement({Subgroup.cyclic(2): 0})
+    elem = ModuleElement({Subgroup.generated_by(2): 0, Subgroup.generated_by(3): -1})
+    assert elem == cyc(3, -1) and elem.terms() == {Subgroup.generated_by(3): -1}
+    zero = ModuleElement({Subgroup.generated_by(2): 0})
     assert not zero and zero == ModuleElement()
 
 
@@ -204,24 +202,24 @@ def test_hnf_generates_the_same_subgroup_by_minors(rows):
 
 
 def test_module_cancellation():
-    assert cyc(1, -1) + cyc(1) == ModuleElement.zero()
+    assert cyc(1, -1) + cyc(1) == ModuleElement()
     assert not (cyc(1, -1) + cyc(1))
 
 
 def test_module_scale():
     assert cyc(2) * -1 == cyc(2, -1)
     assert 3 * cyc(1) == cyc(1, 3)
-    assert 0 * cyc(1) == ModuleElement.zero()
+    assert 0 * cyc(1) == ModuleElement()
 
 
 def test_module_mixed_terms():
     e = cyc(0) + cyc(1)
-    assert e.terms() == {Subgroup.cyclic(0): 1, Subgroup.cyclic(1): 1}
+    assert e.terms() == {Subgroup.generated_by(0): 1, Subgroup.generated_by(1): 1}
 
 
 def test_norm_examples():
     assert (cyc(1, 2) + cyc(2)).norm() == 3
-    assert ModuleElement.zero().norm() == 0
+    assert ModuleElement().norm() == 0
     assert (cyc(1, -1) + cyc(2, -1)).norm() == 2
 
 
@@ -233,7 +231,7 @@ def test_augmentation_examples():
 
 _elements = st.lists(
     st.tuples(st.integers(0, 4), st.integers(-4, 4)), max_size=5
-).map(lambda pairs: sum((cyc(j, c) for j, c in pairs), ModuleElement.zero()))
+).map(lambda pairs: sum((cyc(j, c) for j, c in pairs), ModuleElement()))
 
 
 @given(_elements, _elements)
@@ -250,27 +248,27 @@ def test_norm_homogeneous(a, n):
 def test_add_commutative_associative(a, b, c):
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
-    assert a + ModuleElement.zero() == a
+    assert a + ModuleElement() == a
 
 
 def test_str_formats():
     assert str(cyc(1, -1) + cyc(2)) == "-1*<1> + 1*<2>"
-    assert str(ModuleElement.zero()) == "0"
+    assert str(ModuleElement()) == "0"
     assert str(cyc(0) + cyc(1)) == "1*<0> + 1*<1>"
     assert str(cyc(1, 2) + cyc(2)) == "2*<1> + 1*<2>"
     assert str(Subgroup.generated_by((1, 0), (0, 2))) == "<(1,0),(0,2)>"
 
 
 def test_iteration_orders_terms_by_rank_then_basis():
-    plane = ModuleElement.single(Subgroup.generated_by((1, 0)), 3)
+    plane = ModuleElement({Subgroup.generated_by((1, 0)): 3})
     elem = plane + cyc(2, -1) + cyc(0) + cyc(1)
     assert [(str(s), c) for s, c in elem] == [("<0>", 1), ("<1>", 1), ("<2>", -1), ("<(1,0)>", 3)]
-    five, x_axis, y_axis = Subgroup.cyclic(5), Subgroup.generated_by((1, 0)), Subgroup.generated_by((0, 1))
+    five, x_axis, y_axis = Subgroup.generated_by(5), Subgroup.generated_by((1, 0)), Subgroup.generated_by((0, 1))
     assert sorted([x_axis, five, y_axis]) == [five, y_axis, x_axis]
 
 
 def test_module_element_is_not_a_number():
-    assert ModuleElement.zero().__eq__(0) is NotImplemented
-    assert ModuleElement.zero() != 0
+    assert ModuleElement().__eq__(0) is NotImplemented
+    assert ModuleElement() != 0
     assert repr(cyc(1, -1) + cyc(2)) == "ModuleElement(-1*<1> + 1*<2>)"
-    assert repr(ModuleElement.zero()) == "ModuleElement(0)"
+    assert repr(ModuleElement()) == "ModuleElement(0)"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotoid_casson import codes, moves, planar
-from knotoid_casson.analysis import full_report, generate_family
+from knotoid_casson.analysis import generate_family
 from knotoid_casson.codes import concat_product, parse_knotoid_code, serialize
 from knotoid_casson.moves import (
     IllegalMoveError,
@@ -33,6 +33,7 @@ from support import (
     code_strategy,
     every_code,
     four_six,
+    invariant_row,
     move_candidates,
     named_fixtures,
     plant_bigon,
@@ -52,11 +53,6 @@ from support import (
     stored,
     two_one,
 )
-
-
-def invariant_row(code, name=""):
-    r = full_report(code, name)
-    return (r.c_plus, r.c_minus, r.ch_plus, r.ch_minus)
 
 
 def test_kink_has_delete_site_at_zero():
@@ -248,6 +244,9 @@ def test_unknown_move_kind_raises_illegal_move():
     MoveInstance(R2_DELETE, positions=(1, 3), labels=("x", "y")),
     MoveInstance(R2_DELETE, positions=(1, 3), labels=("x",), signs=(1,)),
     MoveInstance(R2_DELETE, positions=(1, 3), labels=("x", "y"), signs=(1, -1)),
+    # and no gaps
+    MoveInstance(R1_DELETE, gaps=(0,), positions=(1,), labels=("a",), signs=(1,)),
+    MoveInstance(R2_DELETE, gaps=(0, 2), positions=(1, 3), labels=("x", "y"), signs=(1,)),
 ])
 def test_inverse_of_a_malformed_move_raises_what_apply_raises(move):
     message = f"malformed {move.kind}: {move}"

@@ -72,7 +72,7 @@ def test_code_equality_is_by_word_and_signs():
     (two_one, "over_pos"),
     (lambda: parse_multiknotoid_code("segment: Ob\ncircle: Ub\n; b=+1"), "circles"),
     (lambda: MALFORMED_KINK, "gaps"),
-    (lambda: Subgroup.cyclic(2), "basis"),
+    (lambda: Subgroup.generated_by(2), "basis"),
     (lambda: verify_skein(two_one(), "a"), "ok"),
     (lambda: full_report(two_one()), "norm_sum"),
     (lambda: trace_faces(two_one()), "num_faces"),
@@ -110,9 +110,9 @@ def test_value_types_survive_pickle_and_copy():
     code = two_one()
     arc = dual_arc(build_planar_map(code))
     values = [
-        Item(OVER, "a"), MALFORMED_KINK, Subgroup.cyclic(2), skew_pairs(code)[0][0], casson_pm(code),
-        full_report(code, "2_1"), conway_triple(code, "a"), verify_skein(code, "a"), trace_faces(code),
-        arc.steps[0], arc,
+        Item(OVER, "a"), MALFORMED_KINK, Subgroup.generated_by(2), skew_pairs(code)[0][0],
+        casson_pm(code), full_report(code, "2_1"), conway_triple(code, "a"), verify_skein(code, "a"),
+        trace_faces(code), arc.steps[0], arc,
     ]
     types = (Item, MoveInstance, Subgroup, SkewPair, CassonValues, InvariantReport, ConwayTriple,
              SkeinReport, PlanarMap, ArcStep, DualArc)
@@ -137,7 +137,7 @@ def test_skein_report_as_dict():
 
 
 def test_subgroups_sort_by_rank_then_basis():
-    trivial, three = Subgroup.cyclic(0), Subgroup.cyclic(3)
+    trivial, three = Subgroup.generated_by(0), Subgroup.generated_by(3)
     x_axis, y_even = Subgroup.generated_by((1, 0)), Subgroup.generated_by((0, 2))
     plane = Subgroup.generated_by((1, 0), (0, 1))
     assert sorted([plane, x_axis, three, y_even, trivial]) == [trivial, three, y_even, x_axis, plane]
