@@ -114,8 +114,8 @@ def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
 
     The face trace, the loop classes and the sweep all read the code's
     stored ``label_signs``.  ``C+``/``C-`` are the augmentations of
-    ``CH+``/``CH-`` (every class 0 when virtual), so the faces are traced
-    once and the skew pairs are swept once per report.
+    ``CH+``/``CH-`` (every class 0 when virtual), so a report sweeps the skew
+    pairs once.  The code keeps its faces and classes from its first report.
     """
     realizable = trace_faces(code).realizable
     classes = _loop_classes(code) if realizable else [0] * len(code.labels)
@@ -241,6 +241,7 @@ def evaluate_catalog(directory: str | Path, out_dir: str | Path) -> list[Invaria
     entries = _catalog_entries(directory)
     _check_report_names(entries)
     reports = [full_report(code, name) for _, name, code in entries]
+    del entries  # the codes, and the shapes they keep, are not needed past their reports
     files = {out / f"{r.name}.json": json.dumps(r.to_json_dict(), indent=2) + "\n" for r in reports}
     files[out / "summary.txt"] = summary_table(reports) + "\n"
     out.mkdir(parents=True, exist_ok=True)

@@ -154,10 +154,12 @@ class KnotoidCode(_Frozen):
     word of ``_read_passes``: checked for a code built here, unchecked for
     the result of a move.  ``label_signs[i]`` is the sign of ``labels[i]``.
     Codes are equal when their words and signs are; they hold a dict, so
-    they are not hashable.
+    they are not hashable.  A code keeps a private record of its faces and
+    loop classes, filled on first use (``planar._trace``), which equality,
+    ``repr``, pickles and copies ignore.
     """
 
-    __slots__ = ("word", "signs", "labels", "over_pos", "under_pos", "label_signs")
+    __slots__ = ("word", "signs", "labels", "over_pos", "under_pos", "label_signs", "_shape")
     word: tuple[Item, ...]
     signs: Mapping[str, int]
     labels: tuple[str, ...]
@@ -201,7 +203,7 @@ def _code_from_fields(
     under_pos: tuple[int, ...],
 ) -> KnotoidCode:
     """The code with these fields, which must be those ``_read_passes`` reads
-    off ``word``: the one place a code's slots are filled."""
+    off ``word``: the one place a code's fields are filled, its shape empty."""
     code = object.__new__(KnotoidCode)
     set_field = object.__setattr__  # assignment is refused
     set_field(code, "word", word)
@@ -210,6 +212,7 @@ def _code_from_fields(
     set_field(code, "over_pos", over_pos)
     set_field(code, "under_pos", under_pos)
     set_field(code, "label_signs", tuple([signs[lab] for lab in labels]))
+    set_field(code, "_shape", None)
     return code
 
 
@@ -425,7 +428,11 @@ def switch_crossing(code: KnotoidCode, label: str) -> KnotoidCode:
     word = tuple(it.flipped() if it.label == label else it for it in code.word)
     signs = dict(code.signs)
     signs[label] = -signs[label]
-    return KnotoidCode(word, signs)
+    switched = KnotoidCode(word, signs)
+    # its two positions swap and its sign flips, which leaves every rotation
+    # and every push-off weight in planar.py as it was: the shape is the same
+    object.__setattr__(switched, "_shape", code._shape)
+    return switched
 
 
 def concat_product(k1: KnotoidCode, k2: KnotoidCode) -> KnotoidCode:

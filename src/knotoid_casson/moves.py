@@ -241,12 +241,13 @@ def apply(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
 
 def inverse_move(move: MoveInstance) -> MoveInstance:
     """The move undoing ``move`` at the corresponding site of the result, once
-    an insertion has its kind's shape and a deletion a position and a label
-    per block, one sign and no gaps."""
+    an insertion has its kind's shape, and a deletion or triangle a position
+    and a label per block, no gaps, and one sign (a deletion) or none (R3)."""
     kind = move.kind
+    blocks = {R1_DELETE: 1, R2_DELETE: 2, R3: 3}.get(kind)
     if (kind in (R1_INSERT, R2_INSERT) and not _has_insertion_shape(move)
-            or kind in (R1_DELETE, R2_DELETE) and not (len(move.signs) == 1 and not move.gaps
-                and len(move.positions) == len(move.labels) == 1 + (kind == R2_DELETE))):
+            or blocks and not (len(move.signs) == (kind != R3) and not move.gaps
+                               and len(move.positions) == len(move.labels) == blocks)):
         raise IllegalMoveError(f"malformed {kind}: {move}")
     if kind in (R1_INSERT, R1_DELETE):  # a kink's gap in the code is its position in the result
         return MoveInstance(R1_DELETE if kind == R1_INSERT else R1_INSERT, move.positions, move.gaps,
@@ -394,16 +395,16 @@ def iter_walk(code: KnotoidCode, steps: int, seed: int) -> Iterator[tuple[MoveIn
 
     Steps with no legal candidate after a bounded number of attempts are
     skipped.  Insertions are disabled once the code exceeds its starting
-    size by ``_GROWTH_CAP`` crossings, keeping walks bounded.  The faces of
-    each code reached are traced at most once, and only when a candidate
-    needs them; a rejected candidate is never rewritten.
+    size by ``_GROWTH_CAP`` crossings, keeping walks bounded.  A code reached
+    is traced only when a candidate needs its faces, and keeps them for its
+    report; a rejected candidate is never rewritten.
     """
     rng = random.Random(seed)
     current = code
     cap = code.n_crossings + _GROWTH_CAP
     # every performed step reaches a realizable code, where every valid kink,
     # bigon deletion and triangle site is a move; only the start may be virtual
-    pmap: PlanarMap | None = trace_faces(code)
+    virtual = not trace_faces(code).realizable
     for _ in range(steps):
         cum = _SHRINK_CUM if current.n_crossings >= cap else _GROW_CUM
         for _attempt in range(_MAX_ATTEMPTS):
@@ -411,13 +412,10 @@ def iter_walk(code: KnotoidCode, steps: int, seed: int) -> Iterator[tuple[MoveIn
             move = _random_candidate(current, kind, rng)
             if move is None:
                 continue
-            if kind == R2_INSERT or (pmap is not None and not pmap.realizable):
-                if pmap is None:
-                    pmap = trace_faces(current)
-                if not _is_legal(pmap, move):
-                    continue
+            if (kind == R2_INSERT or virtual) and not _is_legal(trace_faces(current), move):
+                continue
             current = _rewrite(current, move)
-            pmap = None
+            virtual = False
             yield move, current
             break
 

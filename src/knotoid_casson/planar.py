@@ -97,7 +97,14 @@ class PlanarMap(namedtuple("PlanarMap", "code num_faces dart_face leg_face head_
 
 
 def trace_faces(code: KnotoidCode) -> PlanarMap:
-    """Trace the rotation system forced by the signs, realizable or not."""
+    """The faces of the rotation system forced by the signs, realizable or
+    not, from the record the code keeps: traced by ``_trace`` on first use."""
+    return PlanarMap(code, *(code._shape or _trace(code))[:4])
+
+
+def _trace(code: KnotoidCode) -> list:
+    """Trace the faces into the code's record: [num_faces, dart_face,
+    leg_face, head_face, loop classes], the classes None until asked for."""
     last = 2 * len(code.word) + 1  # the backward dart of the last edge
     # nxt[d ^ 1] is the dart before d counterclockwise; an endpoint's one dart precedes itself
     nxt = [0] * (last + 1)
@@ -121,7 +128,9 @@ def trace_faces(code: KnotoidCode) -> PlanarMap:
         num_faces += 1
     del dart_face[-1]
     # the endpoints' single darts: forward dart of edge 0, backward dart of the last edge
-    return PlanarMap(code, num_faces, tuple(dart_face), dart_face[0], dart_face[last])
+    shape = [num_faces, tuple(dart_face), dart_face[0], dart_face[last], None]
+    object.__setattr__(code, "_shape", shape)  # assignment is refused
+    return shape
 
 
 def build_planar_map(code: KnotoidCode) -> PlanarMap:
@@ -177,19 +186,22 @@ def all_loop_classes(code: KnotoidCode) -> dict[str, tuple[int]]:
     return {label: (c,) for label, c in zip(code.labels, _loop_classes(code))}
 
 
-def _loop_classes(code: KnotoidCode) -> list[int]:
-    """The loop classes of a realizable code in label order: the weights of
-    the push-off (module docstring) on the edges, summed over each loop's
-    sub-path by a prefix sum, O(n) for all crossings.
+def _loop_classes(code: KnotoidCode) -> tuple[int, ...]:
+    """The loop classes of a realizable code in label order, kept in its
+    record: the weights of the push-off (module docstring) on the edges,
+    summed over each loop's sub-path by a prefix sum, O(n) for all crossings.
     """
-    weights = [0] * (len(code.word) + 1)
-    for sign, over, under in zip(code.label_signs, code.over_pos, code.under_pos):
-        # the over pass puts the sign on edge u+1 or u, the under pass its negative on o or o+1
-        weights[under + (sign > 0)] += sign
-        weights[over + (sign < 0)] -= sign
-    # upto[e] = total weight of the edges up to and including edge e
-    upto = list(accumulate(weights))
-    return [
-        upto[under] - upto[over] if over < under else upto[over] - upto[under]
-        for over, under in zip(code.over_pos, code.under_pos)
-    ]
+    shape = code._shape or _trace(code)
+    if shape[4] is None:
+        weights = [0] * (len(code.word) + 1)
+        for sign, over, under in zip(code.label_signs, code.over_pos, code.under_pos):
+            # the over pass puts the sign on edge u+1 or u, the under pass its negative on o or o+1
+            weights[under + (sign > 0)] += sign
+            weights[over + (sign < 0)] -= sign
+        # upto[e] = total weight of the edges up to and including edge e
+        upto = list(accumulate(weights))
+        shape[4] = tuple([
+            upto[under] - upto[over] if over < under else upto[over] - upto[under]
+            for over, under in zip(code.over_pos, code.under_pos)
+        ])
+    return shape[4]

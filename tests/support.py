@@ -28,6 +28,7 @@ from knotoid_casson.codes import (
     fresh_labels,
     mirror,
     parse_knotoid_code,
+    serialize,
 )
 from knotoid_casson.homology import ModuleElement, Subgroup, as_class
 from knotoid_casson.moves import (
@@ -359,6 +360,21 @@ def random_product(rng: random.Random, target: int) -> KnotoidCode:
             factor = mirror(factor)
         code = concat_product(code, factor) if rng.random() < 0.5 else concat_product(factor, code)
     return code
+
+
+def write_catalog(directory: Path, count: int, seed: int, per_file: int = 500) -> None:
+    """A seeded catalog of ``count`` named codes of 2 to 8 crossings, half of
+    them random (mostly virtual) and half realizable products, ``per_file``
+    blocks to a file; CI times ``knotoid-casson batch`` on it."""
+    rng = random.Random(seed)
+    directory.mkdir(parents=True, exist_ok=True)
+    for first in range(0, count, per_file):
+        blocks = []
+        for i in range(first, min(first + per_file, count)):
+            n = rng.randint(2, 8)
+            code = random_code(rng, n) if i % 2 else random_product(rng, n)
+            blocks.append(f"name k{i}\n{serialize(code)}\n")
+        (directory / f"part{first // per_file:03d}.knd").write_text("---\n".join(blocks))
 
 
 @st.composite

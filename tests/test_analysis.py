@@ -369,3 +369,23 @@ def test_full_report_traces_the_faces_of_the_code_once(monkeypatch):
         traced.clear()
         full_report(code)
         assert len(traced) == 1 and traced[0] is code
+
+
+def test_a_second_report_of_a_code_traces_nothing(monkeypatch):
+    traced, summed = [], []
+    trace, accumulate = planar._trace, planar.accumulate
+    monkeypatch.setattr(planar, "_trace", lambda code: traced.append(code) or trace(code))
+    # the prefix sum of _loop_classes, its one call per computation of the classes
+    monkeypatch.setattr(planar, "accumulate", lambda weights: summed.append(None) or accumulate(weights))
+    for code in [*named_fixtures().values(), generate_family(5), parse_knotoid_code("")]:
+        traced.clear()
+        summed.clear()
+        first = full_report(code)
+        assert full_report(code) == first
+        assert traced == [code] and summed == [None]
+    # a virtual code is traced once and has no classes to compute
+    traced.clear()
+    summed.clear()
+    virtual = plant_bigon(four_six(), (0, 3), 1, True, True)
+    assert full_report(virtual) == full_report(virtual)
+    assert traced == [virtual] and summed == []

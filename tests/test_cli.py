@@ -10,7 +10,7 @@ from knotoid_casson.analysis import generate_family
 from knotoid_casson.cli import main
 from knotoid_casson.codes import serialize, switch_all
 from knotoid_casson.moves import R1_INSERT, MoveInstance, iter_walk
-from support import FIVE_NINETEEN_TEXT, FOUR_SIX_TEXT, TWO_ONE_TEXT, five_nineteen, two_one
+from support import FIVE_NINETEEN_TEXT, FOUR_SIX_TEXT, TWO_ONE_TEXT, five_nineteen, two_one, write_catalog
 
 
 @pytest.fixture
@@ -250,6 +250,17 @@ def test_batch_and_catalog_summary(tmp_path, capsys):
     assert main(["catalog-summary", str(catalog)]) == 0
     table = capsys.readouterr().out
     assert "2_1" in table and "4_6" in table and "1*<2>" in table
+
+
+def test_batch_on_a_seeded_catalog(tmp_path, capsys):
+    # the catalog CI times batch on, at a small size: every block is read and reported
+    write_catalog(tmp_path / "codes", 70, seed=26, per_file=20)
+    assert len(list((tmp_path / "codes").iterdir())) == 4
+    assert main(["batch", str(tmp_path / "codes"), "--out", str(tmp_path / "reports")]) == 0
+    assert capsys.readouterr().out == "wrote 70 report(s) to " + str(tmp_path / "reports") + "\n"
+    reports = [json.loads((tmp_path / "reports" / f"k{i}.json").read_text()) for i in range(70)]
+    assert {r["diagram_crossings"] for r in reports} == set(range(2, 9))
+    assert 0 < sum(r["ch_plus"] == "virtual" for r in reports) < 70
 
 
 def test_json_output_stable(two_one_file, capsys):

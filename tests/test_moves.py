@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotoid_casson import codes, moves, planar
-from knotoid_casson.analysis import generate_family
+from knotoid_casson.analysis import full_report, generate_family
 from knotoid_casson.codes import concat_product, parse_knotoid_code, serialize
 from knotoid_casson.moves import (
     IllegalMoveError,
@@ -247,13 +247,20 @@ def test_unknown_move_kind_raises_illegal_move():
     # and no gaps
     MoveInstance(R1_DELETE, gaps=(0,), positions=(1,), labels=("a",), signs=(1,)),
     MoveInstance(R2_DELETE, gaps=(0, 2), positions=(1, 3), labels=("x", "y"), signs=(1,)),
+    # a triangle needs three positions and three labels, and no gaps or signs
+    MoveInstance(R3, gaps=(1,)),
+    MoveInstance(R3),
+    MoveInstance(R3, positions=(0, 2), labels=("x", "y", "z")),
+    MoveInstance(R3, positions=(0, 2, 4), labels=("x", "y")),
+    MoveInstance(R3, positions=(0, 2, 4), labels=("x", "y", "z"), signs=(1,)),
+    MoveInstance(R3, gaps=(1,), positions=(0, 2, 4), labels=("x", "y", "z")),
 ])
 def test_inverse_of_a_malformed_move_raises_what_apply_raises(move):
     message = f"malformed {move.kind}: {move}"
     with pytest.raises(IllegalMoveError) as exc:
         inverse_move(move)
     assert str(exc.value) == message
-    if move.kind in (R1_INSERT, R2_INSERT):  # apply rejects a deletion as no listed site
+    if move.kind in (R1_INSERT, R2_INSERT):  # apply rejects a deletion or triangle as no listed site
         with pytest.raises(IllegalMoveError) as exc:
             apply(two_one(), move)
         assert str(exc.value) == message
@@ -576,23 +583,38 @@ def test_walks_never_check_a_whole_code(monkeypatch):
 
 
 def test_moves_trace_the_faces_of_the_moved_code_once(monkeypatch):
-    traced, rewrites = [], []
-    trace_faces, rewrite = planar.trace_faces, moves._rewrite
-    monkeypatch.setattr(moves, "trace_faces", lambda code: traced.append(code) or trace_faces(code))
+    # asked: the face records moves asks for; traced: the real tracings, whoever asks
+    asked, traced, rewrites = [], [], []
+    trace_faces, trace, rewrite = planar.trace_faces, planar._trace, moves._rewrite
+    monkeypatch.setattr(moves, "trace_faces", lambda code: asked.append(code) or trace_faces(code))
+    monkeypatch.setattr(planar, "_trace", lambda code: traced.append(code) or trace(code))
     monkeypatch.setattr(moves, "_rewrite", lambda code, move: rewrites.append(move) or rewrite(code, move))
     code = named_fixtures()["4_6"]
     legal = enumerate_moves(code)
-    assert traced == [code]
-    for move in legal:
-        traced.clear()
-        apply(code, move)
-        assert traced == [code]
-    # a walk traces each code it reaches at most once and rewrites only performed steps
+    assert asked == traced == [code]
     traced.clear()
+    for move in legal:
+        asked.clear()
+        apply(code, move)
+        assert asked == [code]
+    assert traced == []  # the code keeps its faces
+    # a walk with a report at each step traces each code it reaches once, in
+    # the walk or in the report, and rewrites only performed steps
     rewrites.clear()
-    walk = list(iter_walk(code, 200, seed=5))
-    reached = [code] + [current for _, current in walk]
-    assert [move for move, _ in walk] == rewrites
-    assert len(traced) <= len(reached)
-    assert all(any(t is c for c in reached) for t in traced)
+    walk = []
+    for move, current in iter_walk(code, 200, seed=5):
+        full_report(current)
+        walk.append((move, current))
+    assert [move for move, _ in walk] == rewrites and len(walk) > 100
+    assert len(traced) == len(walk) and all(t is c for t, (_, c) in zip(traced, walk))
+    # reported walks from each fixture: one tracing per step, plus one per fixture
+    traced.clear()
+    fixtures = list(named_fixtures().values())
+    steps = 0
+    for seed in range(40):
+        for start in fixtures:
+            for _, current in iter_walk(start, 30, seed):
+                full_report(current)
+                steps += 1
+    assert steps > 3000 and len(traced) == steps + len(fixtures)
     assert len({id(t) for t in traced}) == len(traced)

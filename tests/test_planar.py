@@ -7,8 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knotoid_casson.analysis import generate_family
-from knotoid_casson.codes import mirror, parse_knotoid_code, read_code_blocks
-from knotoid_casson.moves import r3_sites
+from knotoid_casson.codes import (
+    KnotoidCode,
+    concat_product,
+    mirror,
+    parse_knotoid_code,
+    read_code_blocks,
+    reverse,
+    switch_all,
+    switch_crossing,
+)
+from knotoid_casson.moves import iter_walk, r3_sites
 from knotoid_casson.planar import (
     RIGHT_TO_LEFT,
     NonRealizableError,
@@ -184,7 +193,7 @@ def assert_classes_wrap_the_int_list(code):
     classes = all_loop_classes(code)
     assert list(classes) == list(code.labels)
     assert all(type(c) is tuple and len(c) == 1 and type(c[0]) is int for c in classes.values())
-    assert [c for (c,) in classes.values()] == _loop_classes(code)
+    assert tuple([c for (c,) in classes.values()]) == _loop_classes(code)
 
 
 def test_all_loop_classes_wrap_the_report_int_list_on_fixtures():
@@ -290,3 +299,48 @@ def test_triangle_site_additivity():
             assert _additivity_at_site(code, m, classes), (code, m)
             checked += 1
     assert checked >= 10
+
+
+def fresh_shape(code):
+    """The record an equal code with none of its own fills: a fresh trace and fresh classes."""
+    fresh = KnotoidCode(code.word, code.signs)
+    trace_faces(fresh)
+    _loop_classes(fresh)
+    return fresh._shape
+
+
+def assert_switches_hand_on_the_shape(code):
+    if code.labels:  # a code with no shape hands on none
+        assert switch_crossing(code, code.labels[0])._shape is None
+    trace_faces(code)
+    _loop_classes(code)
+    for label in code.labels:
+        switched = switch_crossing(code, label)
+        assert switched._shape is code._shape
+        assert switched._shape == fresh_shape(switched), (code, label)
+
+
+def test_a_single_switch_hands_on_the_shape_on_every_code_up_to_3():
+    # the classes are compared on virtual codes too: the push-off weights do not change
+    for n in range(4):
+        for code in every_code(n):
+            assert_switches_hand_on_the_shape(code)
+
+
+def test_a_single_switch_hands_on_the_shape_up_to_12():
+    # rejection draws realizable codes fast up to about 8 crossings; walks from them reach 12
+    rng = random.Random(2604)
+    starts = [random_realizable_code(rng, n, max_tries=5000) for n in range(4, 9) for _ in range(5)]
+    walked = [current for seed, start in enumerate(starts) for _, current in iter_walk(start, 20, seed)]
+    codes = starts + [code for code in walked if 4 <= code.n_crossings <= 12]
+    assert {code.n_crossings for code in codes} == set(range(4, 13))
+    for code in codes:
+        assert_switches_hand_on_the_shape(KnotoidCode(code.word, code.signs))
+
+
+def test_other_transforms_start_with_no_shape():
+    code = four_six()
+    trace_faces(code)
+    _loop_classes(code)
+    for made in (switch_all(code), mirror(code), reverse(code), concat_product(code, code)):
+        assert made._shape is None

@@ -106,6 +106,22 @@ def test_codes_survive_pickle_and_copy():
         five_nineteen().labels, five_nineteen().over_pos, five_nineteen().under_pos)
 
 
+def test_the_shape_a_code_keeps_is_invisible():
+    # the private record of faces and classes: filled on first use, shown nowhere
+    for make in (two_one, five_nineteen):
+        code, plain = make(), make()
+        assert code._shape is None
+        report = full_report(code)
+        assert code._shape is not None and plain._shape is None
+        assert code == plain and plain == code and repr(code) == repr(plain)
+        assert pickle.dumps(code) == pickle.dumps(plain)
+        for clone in (pickle.loads(pickle.dumps(code)), copy.copy(code), copy.deepcopy(code)):
+            assert clone == code and repr(clone) == repr(code) and clone._shape is None
+            assert full_report(clone) == report
+        with pytest.raises(AttributeError):
+            code._shape = None
+
+
 def test_value_types_survive_pickle_and_copy():
     code = two_one()
     arc = dual_arc(build_planar_map(code))
