@@ -428,11 +428,7 @@ def switch_crossing(code: KnotoidCode, label: str) -> KnotoidCode:
     word = tuple(it.flipped() if it.label == label else it for it in code.word)
     signs = dict(code.signs)
     signs[label] = -signs[label]
-    switched = KnotoidCode(word, signs)
-    # its two positions swap and its sign flips, which leaves every rotation
-    # and every push-off weight in planar.py as it was: the shape is the same
-    object.__setattr__(switched, "_shape", code._shape)
-    return switched
+    return KnotoidCode(word, signs)
 
 
 def concat_product(k1: KnotoidCode, k2: KnotoidCode) -> KnotoidCode:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from knotoid_casson.analysis import generate_family
 from knotoid_casson.codes import (
-    KnotoidCode,
     concat_product,
     mirror,
     parse_knotoid_code,
@@ -17,7 +16,7 @@ from knotoid_casson.codes import (
     switch_all,
     switch_crossing,
 )
-from knotoid_casson.moves import iter_walk, r3_sites
+from knotoid_casson.moves import r3_sites
 from knotoid_casson.planar import (
     RIGHT_TO_LEFT,
     NonRealizableError,
@@ -301,46 +300,11 @@ def test_triangle_site_additivity():
     assert checked >= 10
 
 
-def fresh_shape(code):
-    """The record an equal code with none of its own fills: a fresh trace and fresh classes."""
-    fresh = KnotoidCode(code.word, code.signs)
-    trace_faces(fresh)
-    _loop_classes(fresh)
-    return fresh._shape
-
-
-def assert_switches_hand_on_the_shape(code):
-    if code.labels:  # a code with no shape hands on none
-        assert switch_crossing(code, code.labels[0])._shape is None
-    trace_faces(code)
-    _loop_classes(code)
-    for label in code.labels:
-        switched = switch_crossing(code, label)
-        assert switched._shape is code._shape
-        assert switched._shape == fresh_shape(switched), (code, label)
-
-
-def test_a_single_switch_hands_on_the_shape_on_every_code_up_to_3():
-    # the classes are compared on virtual codes too: the push-off weights do not change
-    for n in range(4):
-        for code in every_code(n):
-            assert_switches_hand_on_the_shape(code)
-
-
-def test_a_single_switch_hands_on_the_shape_up_to_12():
-    # rejection draws realizable codes fast up to about 8 crossings; walks from them reach 12
-    rng = random.Random(2604)
-    starts = [random_realizable_code(rng, n, max_tries=5000) for n in range(4, 9) for _ in range(5)]
-    walked = [current for seed, start in enumerate(starts) for _, current in iter_walk(start, 20, seed)]
-    codes = starts + [code for code in walked if 4 <= code.n_crossings <= 12]
-    assert {code.n_crossings for code in codes} == set(range(4, 13))
-    for code in codes:
-        assert_switches_hand_on_the_shape(KnotoidCode(code.word, code.signs))
-
-
-def test_other_transforms_start_with_no_shape():
+def test_transforms_start_with_no_shape():
     code = four_six()
     trace_faces(code)
     _loop_classes(code)
-    for made in (switch_all(code), mirror(code), reverse(code), concat_product(code, code)):
+    made_from = (switch_crossing(code, code.labels[0]), switch_all(code), mirror(code), reverse(code),
+                 concat_product(code, code))
+    for made in made_from:
         assert made._shape is None
