@@ -34,7 +34,7 @@ from .codes import (
 )
 from .homology import ModuleElement
 from .planar import _loop_classes, trace_faces
-from .skew import CassonValues, _subgroup_sums
+from .skew import CassonValues, _subgroup_sums, casson_pm
 
 PROPER_BY_C = "ProperByC"
 PROPER_BY_CH = "ProperByCH"
@@ -112,18 +112,16 @@ def generate_family(j: int) -> KnotoidCode:
 def full_report(code: KnotoidCode, name: str = "") -> InvariantReport:
     """Every invariant of one code; homological fields absent when virtual.
 
-    The face trace, the loop classes and the sweep all read the code's
-    stored ``label_signs``.  ``C+``/``C-`` are the augmentations of
-    ``CH+``/``CH-`` (every class 0 when virtual), so a report sweeps the skew
-    pairs once.  The code keeps its faces and classes from its first report.
+    A report sweeps the skew pairs once: by ``casson_pm`` when the code is
+    virtual, else over the loop classes, with ``C+``/``C-`` the augmentations
+    of ``CH+``/``CH-``.  The code keeps its faces and classes from its first report.
     """
-    realizable = trace_faces(code).realizable
-    classes = _loop_classes(code) if realizable else [0] * len(code.labels)
-    plus, minus = _subgroup_sums(code, classes, code.label_signs)
-    values = CassonValues(sum(plus.values()), sum(minus.values()))
-    if not realizable:
+    if not trace_faces(code).realizable:
+        values = casson_pm(code)
         return InvariantReport(name, *values, None, None, None, None,
                                properness_certificate(values), code.n_crossings)
+    plus, minus = _subgroup_sums(code, _loop_classes(code))
+    values = CassonValues(sum(plus.values()), sum(minus.values()))
     ch_plus, ch_minus = ModuleElement._of(plus), ModuleElement._of(minus)
     norm_sum = sum(map(abs, plus.values())) + sum(map(abs, minus.values()))
     return InvariantReport(

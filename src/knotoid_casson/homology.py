@@ -127,6 +127,8 @@ class ModuleElement:
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
+        if not isinstance(other, ModuleElement):
+            return NotImplemented
         out = dict(self._terms)
         for s, c in other._terms.items():
             out[s] = out.get(s, 0) + c
@@ -136,7 +138,7 @@ class ModuleElement:
         return ModuleElement({s: -c for s, c in self._terms.items()})
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + (-other)
+        return self + (-other) if isinstance(other, ModuleElement) else NotImplemented
 
     def __mul__(self, n: int) -> "ModuleElement":
         if type(n) is not int:  # True and 1.0 would pass for 1, and "3" * 2 repeats

@@ -129,11 +129,12 @@ def _insert_positions(move: MoveInstance) -> tuple[int, int]:
 
 def _has_insertion_shape(move: MoveInstance) -> bool:
     """Whether an insertion has the shape of its kind: a gap and a label per
-    added block, one sign, no positions, a kink left ``parallel``, gaps of
-    type int and never bool, labels of type str."""
+    added block, one sign, no positions, bools ``over_first`` and ``parallel``
+    (True for a kink), gaps of type int and never bool, labels of type str."""
     kink = move.kind == R1_INSERT
     return (len(move.gaps) == len(move.labels) == 2 - kink and len(move.signs) == 1
             and not move.positions and (move.parallel or not kink)
+            and type(move.over_first) is bool and type(move.parallel) is bool
             and all(type(gap) is int for gap in move.gaps)
             and all(type(label) is str for label in move.labels))
 

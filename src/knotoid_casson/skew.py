@@ -55,7 +55,7 @@ def casson_pm(code: KnotoidCode) -> CassonValues:
     (virtual knotoid codes are legal inputs).
     """
     # every class 0: the augmentations of the sums are the counts
-    upper, lower = _subgroup_sums(code, [0] * len(code.labels), code.label_signs)
+    upper, lower = _subgroup_sums(code, [0] * len(code.labels))
     return CassonValues(sum(upper.values()), sum(lower.values()))
 
 
@@ -63,12 +63,12 @@ def casson_homological(
     code: KnotoidCode,
     classes: Mapping[str, int | HomologyClass],
 ) -> tuple[ModuleElement, ModuleElement]:
-    """Formal sums, over skew pairs, of the subgroups spanned by loop classes.
+    """Formal sums, over skew pairs, of the subgroups spanned by loop classes;
+    the coefficients of either element sum to c_plus or c_minus.
 
-    ``classes`` maps each crossing label occurring in some skew pair to the
-    homology class of its loop; all classes must have equal rank.  The
-    result pair refines (c_plus, c_minus): summing coefficients of either
-    element recovers the corresponding integer count.
+    ``classes`` maps each crossing in some skew pair to the homology class of
+    its loop, all of one rank.  When a label has none, the pairs are listed,
+    and a ``KeyError`` names the crossing of the first pair to close that has none.
     """
     normalized: dict[str, int | HomologyClass] = {}
     rank: int | None = None
@@ -82,30 +82,27 @@ def casson_homological(
 
     keys = [normalized.get(lab) for lab in code.labels]
     if None in keys:
-        # class 1 for the crossings without one: a pair touching them spans <1>, every
-        # other pair <0>; unsigned weights, so that pairs whose signs cancel still count
-        flagged = _subgroup_sums(code, [int(key is None) for key in keys], [1] * len(keys))
-        if any(sub.basis for side in flagged for sub in side):
+        unclassed = [p for side in skew_pairs(code) for p in side
+                     if p.first not in normalized or p.second not in normalized]
+        if unclassed:
             # name the crossing a left-to-right sweep meets first: the first pair to
             # close, then the partner that starts first
             pos = code.positions()
-            unclassed = [p for side in skew_pairs(code) for p in side
-                         if p.first not in normalized or p.second not in normalized]
             p = min(unclassed, key=lambda p: (max(pos[p.first]), min(pos[p.second])))
             lab = p.first if p.first not in normalized else p.second
             raise KeyError(f"no homology class for crossing {lab!r}")
-    upper, lower = _subgroup_sums(code, keys, code.label_signs)
+    upper, lower = _subgroup_sums(code, keys)
     return ModuleElement._of(upper), ModuleElement._of(lower)
 
 
 def _subgroup_sums(
-    code: KnotoidCode, classes: Sequence[Hashable], signs: Sequence[int]
+    code: KnotoidCode, classes: Sequence[Hashable]
 ) -> tuple[dict[Subgroup, int], dict[Subgroup, int]]:
     """The nonzero terms of CH+ and CH-: the sums of sign(x) * sign(y) over
     the upper and over the lower skew pairs (x, y), by the subgroup that the
-    classes of x and y span.  ``classes`` and ``signs`` (+1 or -1) follow
-    ``code.labels``; classes of rank 1 are ints (as ``planar._loop_classes``
-    gives them), of a higher rank tuples, and None for a label in no pair.
+    classes of x and y span.  ``classes`` follow ``code.labels``, as the
+    signs of ``code.label_signs`` do: ints in rank 1 (as ``planar._loop_classes``
+    gives them), tuples in a higher rank, and None for a label in no pair.
 
     A crossing is a chord between its two passes; it is *over-first* when
     its over pass comes first in the word.  Every skew pair is one
@@ -125,7 +122,7 @@ def _subgroup_sums(
     # 4 * class id + 2 * kind (1: under-first) + negative
     start_at = [0] * len(code.word)
     mask_at = [0] * len(code.word)
-    for key, sign, over, under in zip(classes, signs, code.over_pos, code.under_pos):
+    for key, sign, over, under in zip(classes, code.label_signs, code.over_pos, code.under_pos):
         mask = 4 * ids.setdefault(key, len(ids)) + (sign < 0)
         if under < over:
             start_at[over] = start_at[under] = under

@@ -546,7 +546,8 @@ def reference_rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
         if kind in (R1_INSERT, R2_INSERT):
             kink = kind == R1_INSERT
             if not (len(move.gaps) == len(move.labels) == 2 - kink and len(move.signs) == 1
-                    and not move.positions and (move.parallel or not kink)
+                    and not move.positions and type(move.over_first) is bool
+                    and type(move.parallel) is bool and (move.parallel or not kink)
                     and all(type(gap) is int for gap in move.gaps)
                     and all(type(label) is str for label in move.labels)):
                 raise IllegalMoveError(f"malformed {kind}: {move}")

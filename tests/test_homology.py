@@ -272,3 +272,13 @@ def test_module_element_is_not_a_number():
     assert ModuleElement() != 0
     assert repr(cyc(1, -1) + cyc(2)) == "ModuleElement(-1*<1> + 1*<2>)"
     assert repr(ModuleElement()) == "ModuleElement(0)"
+
+
+@pytest.mark.parametrize("other", [1, 1.0, None, Subgroup.generated_by(2)])
+def test_module_adds_and_subtracts_only_a_module_element(other):
+    # ModuleElement() + 1 once raised AttributeError about ``_terms``
+    assert ModuleElement().__add__(other) is NotImplemented
+    assert ModuleElement().__sub__(other) is NotImplemented
+    for op in (lambda e: e + other, lambda e: e - other, lambda e: other + e, lambda e: other - e):
+        with pytest.raises(TypeError):
+            op(cyc(2))

@@ -170,6 +170,10 @@ NOT_A_CODE = "result is not a valid code: "
       for move in (KINK, BIGON) for gap in ("1", 1.0, True)],
     (KINK._replace(labels=(5,)), "malformed"),
     (BIGON._replace(labels=("x", None)), "malformed"),
+    # over_first and parallel are bools, not read by truthiness
+    *[(move._replace(**{field: value}), "malformed")
+      for move in (KINK, BIGON) for field in ("over_first", "parallel") for value in ("no", 1, 1.0, "")],
+    (BIGON._replace(gaps=(0, 0), labels=("n0", "n1"), parallel="no"), "malformed"),
 ])
 def test_malformed_insertions_raise_illegal_move(move, message):
     code = two_one()
@@ -254,6 +258,10 @@ def test_unknown_move_kind_raises_illegal_move():
     MoveInstance(R3, positions=(0, 2, 4), labels=("x", "y")),
     MoveInstance(R3, positions=(0, 2, 4), labels=("x", "y", "z"), signs=(1,)),
     MoveInstance(R3, gaps=(1,), positions=(0, 2, 4), labels=("x", "y", "z")),
+    # an insertion's over_first and parallel are bools
+    MoveInstance(R2_INSERT, gaps=(0, 0), labels=("n0", "n1"), signs=(1,), parallel="no"),
+    MoveInstance(R2_INSERT, gaps=(1, 4), labels=("x", "y"), signs=(1,), over_first=0),
+    MoveInstance(R1_INSERT, gaps=(1,), labels=("k",), signs=(1,), over_first="", parallel=1),
 ])
 def test_inverse_of_a_malformed_move_raises_what_apply_raises(move):
     message = f"malformed {move.kind}: {move}"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotoid_casson import skew
 from knotoid_casson.analysis import generate_family
 from knotoid_casson.codes import (
     OVER,
@@ -238,6 +239,29 @@ def test_homological_missing_class_raises_exactly_for_paired_crossings(code, rng
             casson_homological(code, classes)
     else:
         assert casson_homological(code, classes) == reference_casson_homological(code, classes)
+
+
+@pytest.mark.parametrize("classes, sweeps, listings", [
+    ({"a": 0, "b": 1, "c": -1, "d": 1, "e": 2}, 1, 0),  # a full map
+    ({"a": 0, "c": -1, "d": 1}, 1, 1),  # b and e are in no skew pair
+    ({"a": 0, "b": 1, "c": -1, "e": 2}, 0, 1),  # d is in both pairs
+])
+def test_homological_lists_the_pairs_only_for_a_missing_class_and_sweeps_once(
+        monkeypatch, classes, sweeps, listings):
+    calls = []
+
+    def counted(name):
+        original = getattr(skew, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("_subgroup_sums", "skew_pairs"):
+        monkeypatch.setattr(skew, name, counted(name))
+    if sweeps:
+        casson_homological(five_nineteen(), classes)
+    else:
+        with pytest.raises(KeyError, match="'d'"):
+            casson_homological(five_nineteen(), classes)
+    assert (calls.count("_subgroup_sums"), calls.count("skew_pairs")) == (sweeps, listings)
 
 
 # --- the sweep at 256 and 1024 crossings, where its masks span many words ---
