@@ -97,6 +97,8 @@ class ModuleElement:
     def __init__(self, terms: Mapping[Subgroup, int] | None = None) -> None:
         items = (terms or {}).items()
         for s, c in items:
+            if not isinstance(s, Subgroup):  # a plain tuple equal to one would not sort with them
+                raise TypeError(f"a ModuleElement term is keyed by a Subgroup, got {s!r}")
             if type(c) is not int:  # no coercion: 0.5 is not 0, and True is not 1
                 raise TypeError(f"coefficient of {s} must be an int, got {c!r}")
         self._terms = {s: c for s, c in items if c}

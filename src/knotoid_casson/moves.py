@@ -16,6 +16,8 @@ A valid site is a deletion or triangle site that its finder
 code, field for field, or an insertion of its kind's shape at gaps in
 range whose rewrite is a valid code (fresh, distinct, well-formed labels
 and the int sign +1 or -1, as ``KnotoidCode`` and ``Item`` check them).
+``_SHAPES`` states every kind's shape once, and ``_check_shape`` refuses
+a move of another shape or an unknown kind.
 A rewrite at a valid site is a move exactly when its result is spherically
 realizable.  Pushing strands over the endpoints cannot arise at the word
 level; insertions at the extreme gaps stay legal because they happen in a
@@ -127,28 +129,34 @@ def _insert_positions(move: MoveInstance) -> tuple[int, int]:
     return g_over + 2 * (not over_first), g_under + 2 * over_first
 
 
-def _has_insertion_shape(move: MoveInstance) -> bool:
-    """Whether an insertion has the shape of its kind: a gap and a label per
-    added block, one sign, no positions, bools ``over_first`` and ``parallel``
-    (True for a kink), gaps of type int and never bool, labels of type str."""
-    kink = move.kind == R1_INSERT
-    return (len(move.gaps) == len(move.labels) == 2 - kink and len(move.signs) == 1
-            and not move.positions and (move.parallel or not kink)
+# the gaps, positions and signs of a move of each kind; it has one label per gap or position
+_SHAPES = {R1_INSERT: (1, 0, 1), R2_INSERT: (2, 0, 1),
+           R1_DELETE: (0, 1, 1), R2_DELETE: (0, 2, 1), R3: (0, 3, 0)}
+
+
+def _check_shape(move: MoveInstance) -> None:
+    """Raise unless ``move`` has its kind's row of ``_SHAPES``, a label per gap or position,
+    bools ``over_first`` and ``parallel`` (True for a kink), int gaps and str labels."""
+    shape = _SHAPES.get(move.kind)
+    if shape is None:
+        raise IllegalMoveError(f"unknown move kind {move.kind!r}")
+    if not ((len(move.gaps), len(move.positions), len(move.signs)) == shape
+            and len(move.labels) == shape[0] + shape[1]
             and type(move.over_first) is bool and type(move.parallel) is bool
+            and (move.parallel or move.kind != R1_INSERT)
             and all(type(gap) is int for gap in move.gaps)
-            and all(type(label) is str for label in move.labels))
+            and all(type(label) is str for label in move.labels)):
+        raise IllegalMoveError(f"malformed {move.kind}: {move}")
 
 
 def _inserted_blocks(code: KnotoidCode, move: MoveInstance) -> list[tuple[int, tuple[Item, ...]]]:
     """(first position in the result, items) of each block an insertion adds,
-    in word order, once the insertion has the shape of its kind and gaps in
+    in word order, once the move passes ``_check_shape`` and its gaps are in
     range."""
-    kind, kink = move.kind, move.kind == R1_INSERT
-    if not _has_insertion_shape(move):
-        raise IllegalMoveError(f"malformed {kind}: {move}")
+    _check_shape(move)
     if min(move.gaps) < 0 or max(move.gaps) > len(code.word):
-        raise IllegalMoveError(f"{kind} gap out of range: {move.gaps}")
-    if kink:
+        raise IllegalMoveError(f"{move.kind} gap out of range: {move.gaps}")
+    if move.kind == R1_INSERT:
         (gap,), (x,) = move.gaps, move.labels
         over, under = _new_item(Item, (OVER, x)), _new_item(Item, (UNDER, x))
         return [(gap, (over, under) if move.over_first else (under, over))]
@@ -171,7 +179,16 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
     """
     kind = move.kind
     word, signs = list(code.word), dict(code.signs)
-    if kind in (R1_INSERT, R2_INSERT):
+    if kind in (R1_DELETE, R2_DELETE):
+        # the blocks of a site never overlap, so deleting the later one first keeps the other's position
+        for p in sorted(move.positions, reverse=True):
+            del word[p:p + 2]
+        for label in move.labels:
+            del signs[label]
+    elif kind == R3:
+        for p in move.positions:
+            word[p], word[p + 1] = word[p + 1], word[p]
+    else:  # an insertion, or an unknown kind that _inserted_blocks refuses
         for p, block in _inserted_blocks(code, move):
             word[p:p] = block
         (sign,) = move.signs
@@ -186,17 +203,6 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
                 KnotoidCode(word, signs)
             except CodeValidationError as exc:
                 raise IllegalMoveError(f"{kind} result is not a valid code: {exc}") from None
-    elif kind in (R1_DELETE, R2_DELETE):
-        # the blocks of a site never overlap, so deleting the later one first keeps the other's position
-        for p in sorted(move.positions, reverse=True):
-            del word[p:p + 2]
-        for label in move.labels:
-            del signs[label]
-    elif kind == R3:
-        for p in move.positions:
-            word[p], word[p + 1] = word[p + 1], word[p]
-    else:
-        raise IllegalMoveError(f"unknown move kind {kind!r}")
     word = tuple(word)
     return _code_from_fields(word, signs, *_read_passes(word))
 
@@ -242,14 +248,9 @@ def apply(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
 
 def inverse_move(move: MoveInstance) -> MoveInstance:
     """The move undoing ``move`` at the corresponding site of the result, once
-    an insertion has its kind's shape, and a deletion or triangle a position
-    and a label per block, no gaps, and one sign (a deletion) or none (R3)."""
+    the move passes ``_check_shape``."""
+    _check_shape(move)
     kind = move.kind
-    blocks = {R1_DELETE: 1, R2_DELETE: 2, R3: 3}.get(kind)
-    if (kind in (R1_INSERT, R2_INSERT) and not _has_insertion_shape(move)
-            or blocks and not (len(move.signs) == (kind != R3) and not move.gaps
-                               and len(move.positions) == len(move.labels) == blocks)):
-        raise IllegalMoveError(f"malformed {kind}: {move}")
     if kind in (R1_INSERT, R1_DELETE):  # a kink's gap in the code is its position in the result
         return MoveInstance(R1_DELETE if kind == R1_INSERT else R1_INSERT, move.positions, move.gaps,
                             move.labels, move.signs, move.over_first)
@@ -263,9 +264,7 @@ def inverse_move(move: MoveInstance) -> MoveInstance:
         gaps = p_over - 2 * (not over_first), p_under - 2 * over_first
         return MoveInstance(R2_INSERT, gaps=gaps, labels=move.labels, signs=move.signs,
                             over_first=over_first, parallel=move.parallel)
-    if kind == R3:
-        return move
-    raise IllegalMoveError(f"unknown move kind {kind!r}")
+    return move  # a triangle is its own inverse
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,11 @@ lines of text:
   ``check-moves`` through ``cli.main`` on generated code files;
 * ``moves``: ``enumerate_moves`` on seeded codes, ``D_1`` to ``D_8``,
   ``concat_product(D_8, D_8)`` and the endpoints of 63 seeded walks;
-* ``hnf``: ``hermite_normal_form`` on seeded matrices of rank 1 to 4.
+* ``hnf``: ``hermite_normal_form`` on seeded matrices of rank 1 to 4;
+* ``move_refusals``: ``apply`` and ``inverse_move`` on every listed site
+  and a seeded kink and bigon insertion of the fixtures, ``D_1`` to
+  ``D_3``, seeded codes and walk endpoints, each as it is and with one
+  field malformed: mostly refusals, pinned by type and text.
 
 A code gives its ``serialize`` text, that of its parsed round trip, its
 ``full_report`` JSON and, up to 8 crossings, the skein report at each
@@ -46,15 +50,18 @@ import pytest
 from knotoid_casson import (
     Item,
     KnotoidCode,
+    MoveInstance,
     NonRealizableError,
     OVER,
     UNDER,
+    apply,
     build_planar_map,
     concat_product,
     enumerate_moves,
     full_report,
     generate_family,
     hermite_normal_form,
+    inverse_move,
     iter_walk,
     mirror,
     parse_knotoid_code,
@@ -63,6 +70,8 @@ from knotoid_casson import (
     verify_skein,
 )
 from knotoid_casson.cli import main
+from knotoid_casson.codes import fresh_labels
+from knotoid_casson.moves import r1_delete_sites, r2_delete_sites, r3_sites
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "golden" / "corpus"
@@ -231,6 +240,66 @@ def section_hnf() -> list[str]:
     return lines
 
 
+KINDS = ("R1Insert", "R2Insert", "R1Delete", "R2Delete", "R3")
+FLAGS = (True, False, 0, 1, "no", None)
+
+
+def seeded_insertions(rng: random.Random, code: KnotoidCode) -> list[MoveInstance]:
+    end, (x, y) = len(code.word) + 1, fresh_labels(code, 2)
+    sign = 1 if rng.random() < 0.5 else -1
+    return [MoveInstance("R1Insert", gaps=(below(rng, end),), labels=(x,), signs=(sign,),
+                         over_first=rng.random() < 0.5),
+            MoveInstance("R2Insert", gaps=(below(rng, end), below(rng, end)), labels=(x, y),
+                         signs=(-sign,), over_first=rng.random() < 0.5, parallel=rng.random() < 0.5)]
+
+
+def malformed(rng: random.Random, code: KnotoidCode, move: MoveInstance) -> list[MoveInstance]:
+    """``move``, then each of its single-field mutants that reads differently."""
+    indices = len(code.word) + 2  # -1 to len(word), one past each end
+    out = [move]
+    for field, extra in (("gaps", below(rng, indices) - 1), ("positions", below(rng, indices) - 1),
+                         ("labels", "q0"), ("signs", 1)):
+        value = getattr(move, field)
+        out += [move._replace(**{field: value[:-1]}), move._replace(**{field: value + (extra,)})]
+    out += [move._replace(kind=kind) for kind in (*KINDS, "R4")]
+    out += [move._replace(**{flag: value}) for flag in ("over_first", "parallel") for value in FLAGS]
+    for field in ("gaps", "positions"):
+        value = getattr(move, field)
+        for i, p in enumerate(value):
+            for q in (p - 1, p + 1, below(rng, indices) - 1):
+                out.append(move._replace(**{field: value[:i] + (q,) + value[i + 1:]}))
+    for i in range(len(move.labels)):
+        for label in (code.labels[below(rng, code.n_crossings)], "k k", 5):
+            out.append(move._replace(labels=move.labels[:i] + (label,) + move.labels[i + 1:]))
+    for sign in (0, 2, True, 1.0, None, *(-s for s in move.signs[:1])):
+        out.append(move._replace(signs=(sign,) + move.signs[1:]))
+    return list({repr(m): m for m in out}.values())
+
+
+def outcome(call, arg, render) -> str:
+    try:
+        return render(call(arg))
+    except Exception as exc:  # the refusal is the output
+        return f"{type(exc).__name__}: {exc}"
+
+
+def section_move_refusals() -> list[str]:
+    rng = random.Random(6)
+    codes = fixtures() + [generate_family(j) for j in range(1, 4)]
+    codes.extend(random_code(rng, 1 + below(rng, 5)) for _ in range(12))
+    codes.extend(walk_endpoints(21)[::7])
+    lines = []
+    for code in codes:
+        text = serialize(code)
+        sites = [*r1_delete_sites(code), *r2_delete_sites(code), *r3_sites(code),
+                 *seeded_insertions(rng, code)]
+        for site in sites:
+            for move in malformed(rng, code, site):
+                lines.append(f"{text} | {move!r} | {outcome(lambda m: apply(code, m), move, serialize)}"
+                             f" | {outcome(inverse_move, move, repr)}")
+    return lines
+
+
 SECTIONS = {
     "family": section_family,
     "products": section_products,
@@ -239,6 +308,7 @@ SECTIONS = {
     "cli": section_cli,
     "moves": section_moves,
     "hnf": section_hnf,
+    "move_refusals": section_move_refusals,
 }
 
 

@@ -97,6 +97,18 @@ def test_module_element_takes_only_int_coefficients(coefficient):
         ModuleElement({Subgroup.generated_by(2): coefficient})
 
 
+@pytest.mark.parametrize("key", [
+    "x", (1, ((2,),)), tuple(Subgroup.generated_by((2, 0), (0, 3))), 2, None,
+])
+def test_module_element_terms_are_keyed_by_subgroups(key):
+    # "x" and a plain tuple were once taken, and adding such an element to a real one
+    # failed only at str(), comparing a Subgroup with the key
+    message = f"a ModuleElement term is keyed by a Subgroup, got {key!r}"
+    for coefficient in (1, 0):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            ModuleElement({Subgroup.generated_by(1): 1, key: coefficient})
+
+
 def test_module_scale_by_a_float_raises():
     # it once truncated each product: 2.5 * (1*<1>) read 2*<1>
     with pytest.raises(TypeError, match="a ModuleElement is scaled by an int, got 2.5"):

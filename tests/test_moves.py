@@ -262,6 +262,11 @@ def test_unknown_move_kind_raises_illegal_move():
     MoveInstance(R2_INSERT, gaps=(0, 0), labels=("n0", "n1"), signs=(1,), parallel="no"),
     MoveInstance(R2_INSERT, gaps=(1, 4), labels=("x", "y"), signs=(1,), over_first=0),
     MoveInstance(R1_INSERT, gaps=(1,), labels=("k",), signs=(1,), over_first="", parallel=1),
+    # and so are a deletion's or a triangle's, whose labels are strs
+    MoveInstance(R2_DELETE, positions=(1, 3), labels=("x", "y"), signs=(1,), parallel="no"),
+    MoveInstance(R1_DELETE, positions=(1,), labels=("a",), signs=(1,), over_first="yes"),
+    MoveInstance(R3, positions=(0, 2, 4), labels=("x", "y", "z"), over_first=0),
+    MoveInstance(R2_DELETE, positions=(1, 3), labels=("x", 5), signs=(1,)),
 ])
 def test_inverse_of_a_malformed_move_raises_what_apply_raises(move):
     message = f"malformed {move.kind}: {move}"
