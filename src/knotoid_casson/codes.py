@@ -82,10 +82,17 @@ class Item(namedtuple("Item", "kind label")):
         return self.kind + self.label
 
 
-def _read_passes(items: Sequence[Item]) -> tuple[tuple[str, ...], tuple, tuple]:
-    """One pass over a word, with no checks: its labels in order of first
-    occurrence and, aligned with them, the positions of their over passes and
-    of their under passes (None where a label has no pass of that kind)."""
+def _check_passes(
+    items: Sequence[Item], signs: Mapping[str, int]
+) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+    """The labels of ``items`` in order of first occurrence and, aligned with
+    them, the positions of their over passes and of their under passes, read
+    in one pass once the word and ``signs`` hold the invariant of a code: a
+    word of ``Item``s; each label twice, once over and once under; one sign
+    each, the int +1 or -1."""
+    if not {*map(type, items)} <= {Item}:  # a tuple equal to an item is not one
+        bad = next(it for it in items if type(it) is not Item)
+        raise CodeValidationError(f"a word is made of Items, got {bad!r}")
     over: dict[str, int] = {}
     under: dict[str, int] = {}
     first: dict[str, None] = {}
@@ -95,23 +102,9 @@ def _read_passes(items: Sequence[Item]) -> tuple[tuple[str, ...], tuple, tuple]:
         first[label] = None
         (over if it[0] == OVER else under)[label] = i
     labels = tuple(first)
-    # sized from lists: a tuple grown from an iterator is resized, and every
-    # freed one then parks on the interpreter's free list for its final size
-    return labels, tuple([over.get(lab) for lab in labels]), tuple([under.get(lab) for lab in labels])
-
-
-def _check_passes(
-    items: Sequence[Item], signs: Mapping[str, int]
-) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
-    """The fields ``_read_passes`` reads off ``items``, once they pass the shared
-    invariant: a word of ``Item``s; each label twice, once over and once
-    under; one sign each."""
-    if not {*map(type, items)} <= {Item}:  # a tuple equal to an item is not one
-        bad = next(it for it in items if type(it) is not Item)
-        raise CodeValidationError(f"a word is made of Items, got {bad!r}")
-    fields = labels, over_pos, under_pos = _read_passes(items)
-    # with an over and an under pass each, 2n passes leave none to spare
-    if len(items) != 2 * len(labels) or None in over_pos or None in under_pos:
+    # neither dict holds more than n labels, so 2n entries leave none without
+    # an over and an under pass, and 2n passes leave none to spare
+    if not len(items) == len(over) + len(under) == 2 * len(labels):
         counts = Counter(items)  # an item equals its (kind, label) tuple
         lab = min(lab for lab in labels if counts[OVER, lab] != 1 or counts[UNDER, lab] != 1)
         raise CodeValidationError(
@@ -129,7 +122,9 @@ def _check_passes(
     for lab, s in signs.items():
         if type(s) is not int or s not in (1, -1):  # 1.0 and True compare equal to 1
             raise CodeValidationError(f"sign of {lab!r} must be +1 or -1, got {s!r}")
-    return fields
+    # sized from lists: a tuple grown from an iterator is resized, and every
+    # freed one then parks on the interpreter's free list for its final size
+    return labels, tuple([over[lab] for lab in labels]), tuple([under[lab] for lab in labels])
 
 
 class _Frozen:
@@ -148,11 +143,11 @@ class KnotoidCode(_Frozen):
     """A validated signed Gauss code of a knotoid.
 
     Immutable after construction; the empty word is the trivial knotoid.
-    ``labels`` lists the crossings in order of first occurrence in the word;
-    ``over_pos[i]`` and ``under_pos[i]`` are the word positions of the over
-    and under pass of ``labels[i]``, computed once, by the one pass over the
-    word of ``_read_passes``: checked for a code built here, unchecked for
-    the result of a move.  ``label_signs[i]`` is the sign of ``labels[i]``.
+    Every code, a move's result included, is built here and checked by
+    ``_check_passes``, whose one pass over the word also gives ``labels``,
+    the crossings in order of first occurrence, and ``over_pos[i]`` and
+    ``under_pos[i]``, the word positions of the over and under pass of
+    ``labels[i]``.  ``label_signs[i]`` is the sign of ``labels[i]``.
     Codes are equal when their words and signs are; they hold a dict, so
     they are not hashable.  A code keeps a private record of its faces and
     loop classes, filled on first use (``planar._trace``), which equality,
@@ -169,7 +164,17 @@ class KnotoidCode(_Frozen):
 
     def __new__(cls, word: Iterable[Item], signs: Mapping[str, int]) -> "KnotoidCode":
         word, signs = tuple(word), dict(signs)
-        return _code_from_fields(word, signs, *_check_passes(word, signs))
+        labels, over_pos, under_pos = _check_passes(word, signs)
+        code = object.__new__(cls)
+        set_field = object.__setattr__  # assignment is refused
+        set_field(code, "word", word)
+        set_field(code, "signs", signs)
+        set_field(code, "labels", labels)
+        set_field(code, "over_pos", over_pos)
+        set_field(code, "under_pos", under_pos)
+        set_field(code, "label_signs", tuple([signs[lab] for lab in labels]))
+        set_field(code, "_shape", None)
+        return code
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -193,27 +198,6 @@ class KnotoidCode(_Frozen):
         A fresh dict built from the stored positions, so callers may change it.
         """
         return dict(zip(self.labels, zip(self.over_pos, self.under_pos)))
-
-
-def _code_from_fields(
-    word: tuple[Item, ...],
-    signs: dict[str, int],
-    labels: tuple[str, ...],
-    over_pos: tuple[int, ...],
-    under_pos: tuple[int, ...],
-) -> KnotoidCode:
-    """The code with these fields, which must be those ``_read_passes`` reads
-    off ``word``: the one place a code's fields are filled, its shape empty."""
-    code = object.__new__(KnotoidCode)
-    set_field = object.__setattr__  # assignment is refused
-    set_field(code, "word", word)
-    set_field(code, "signs", signs)
-    set_field(code, "labels", labels)
-    set_field(code, "over_pos", over_pos)
-    set_field(code, "under_pos", under_pos)
-    set_field(code, "label_signs", tuple([signs[lab] for lab in labels]))
-    set_field(code, "_shape", None)
-    return code
 
 
 class MultiKnotoidCode(_Frozen):

@@ -83,18 +83,7 @@ from collections import defaultdict, namedtuple
 from collections.abc import Iterator
 from itertools import accumulate
 
-from .codes import (
-    OVER,
-    UNDER,
-    _LABEL_RE,
-    CodeValidationError,
-    Item,
-    KnotoidCode,
-    _code_from_fields,
-    _new_item,
-    _read_passes,
-    fresh_labels,
-)
+from .codes import OVER, UNDER, CodeValidationError, Item, KnotoidCode, fresh_labels
 from .planar import PlanarMap, trace_faces
 
 R1_INSERT = "R1Insert"
@@ -151,18 +140,15 @@ def _check_shape(move: MoveInstance) -> None:
 
 def _inserted_blocks(code: KnotoidCode, move: MoveInstance) -> list[tuple[int, tuple[Item, ...]]]:
     """(first position in the result, items) of each block an insertion adds,
-    in word order, once the move passes ``_check_shape`` and its gaps are in
-    range."""
+    in word order, once the move passes ``_check_shape``, its gaps are in
+    range and ``Item`` takes its labels."""
     _check_shape(move)
     if min(move.gaps) < 0 or max(move.gaps) > len(code.word):
         raise IllegalMoveError(f"{move.kind} gap out of range: {move.gaps}")
+    over = tuple([Item(OVER, label) for label in move.labels])
+    under = tuple([item.flipped() for item in over])
     if move.kind == R1_INSERT:
-        (gap,), (x,) = move.gaps, move.labels
-        over, under = _new_item(Item, (OVER, x)), _new_item(Item, (UNDER, x))
-        return [(gap, (over, under) if move.over_first else (under, over))]
-    x, y = move.labels
-    over = _new_item(Item, (OVER, x)), _new_item(Item, (OVER, y))
-    under = _new_item(Item, (UNDER, x)), _new_item(Item, (UNDER, y))
+        return [(move.gaps[0], over + under if move.over_first else under + over)]
     return sorted(zip(_insert_positions(move), (over, under if move.parallel else under[::-1])))
 
 
@@ -170,12 +156,9 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
     """The word rewrite of ``move``; a deletion or triangle must be a listed site.
 
     Only the word and the signs are edited (blocks inserted or deleted, or
-    each triangle block's two items swapped); ``codes._read_passes`` reads the
-    labels and positions off the new word, without the whole-code check.  An
-    insertion is checked as ``_inserted_blocks`` says and for what it brings
-    in: well-formed labels that each add one sign, so fresh and distinct, and
-    the int sign +1 or -1.  Any other raises, as ``IllegalMoveError``, the
-    first check of ``Item`` or of ``KnotoidCode`` that its result fails.
+    each triangle block's two items swapped), and ``KnotoidCode`` builds the
+    result.  An insertion whose labels or result fail its checks raises
+    their first error as ``IllegalMoveError``.
     """
     kind = move.kind
     word, signs = list(code.word), dict(code.signs)
@@ -189,22 +172,16 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
         for p in move.positions:
             word[p], word[p + 1] = word[p + 1], word[p]
     else:  # an insertion, or an unknown kind that _inserted_blocks refuses
-        for p, block in _inserted_blocks(code, move):
-            word[p:p] = block
-        (sign,) = move.signs
-        # a sign that is not an int is left to the code to reject, like any other bad sign
-        signs.update(zip(move.labels, (sign, -sign if type(sign) is int else sign)))
-        if not (type(sign) is int and sign in (1, -1)
-                and len(signs) == len(code.signs) + len(move.labels)
-                and all(map(_LABEL_RE.fullmatch, move.labels))):
-            try:
-                for label in move.labels:
-                    Item(OVER, label)  # the checks of the items the blocks are made of
-                KnotoidCode(word, signs)
-            except CodeValidationError as exc:
-                raise IllegalMoveError(f"{kind} result is not a valid code: {exc}") from None
-    word = tuple(word)
-    return _code_from_fields(word, signs, *_read_passes(word))
+        try:
+            for p, block in _inserted_blocks(code, move):
+                word[p:p] = block
+            (sign,) = move.signs
+            # a sign that is not an int is left to the code to reject, like any other bad sign
+            signs.update(zip(move.labels, (sign, -sign if type(sign) is int else sign)))
+            return KnotoidCode(word, signs)
+        except CodeValidationError as exc:
+            raise IllegalMoveError(f"{kind} result is not a valid code: {exc}") from None
+    return KnotoidCode(word, signs)
 
 
 def _bigon_sides(sign: int, parallel: bool) -> tuple[int, int]:

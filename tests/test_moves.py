@@ -583,16 +583,18 @@ def test_walk_kind_draw_matches_random_choices(weights):
             assert kind == chosen.choices(moves._WALK_KINDS, weights)[0], seed
 
 
-def test_walks_never_check_a_whole_code(monkeypatch):
-    fixtures = named_fixtures()
+def test_walks_check_each_performed_step_once(monkeypatch):
+    # every code is checked as it is built, so one check per step, each of the
+    # code the step reaches, means that no rejected candidate built a code
     calls = []
     check = codes._check_passes
     monkeypatch.setattr(codes, "_check_passes", lambda *args: calls.append(args) or check(*args))
-    for name, code in fixtures.items():
+    for name, code in named_fixtures().items():
         for seed in range(10):
+            calls.clear()
             walked = list(iter_walk(code, 30, seed))
             assert walked, (name, seed)
-    assert calls == []
+            assert [items for items, _ in calls] == [reached.word for _, reached in walked], (name, seed)
 
 
 def test_moves_trace_the_faces_of_the_moved_code_once(monkeypatch):
