@@ -110,7 +110,7 @@ def _check_passes(
         raise CodeValidationError(
             f"label {lab!r} must occur exactly twice, once over and once under"
         )
-    if signs.keys() != set(labels):
+    if signs.keys() != first.keys():
         missing = set(labels) - signs.keys()
         extra = signs.keys() - set(labels)
         detail = []

@@ -14,8 +14,8 @@ Moves act on the Gauss word:
 A valid site is a deletion or triangle site that its finder
 (``r1_delete_sites``, ``r2_delete_sites``, ``r3_sites``) lists for the
 code, field for field, or an insertion of its kind's shape at gaps in
-range whose rewrite is a valid code (fresh, distinct, well-formed labels
-and the int sign +1 or -1, as ``KnotoidCode`` and ``Item`` check them).
+range whose rewrite is a valid code (fresh, distinct, well-formed labels,
+as ``KnotoidCode`` and ``Item`` check them).
 ``_SHAPES`` states every kind's shape once, and ``_check_shape`` refuses
 a move of another shape or an unknown kind.
 A rewrite at a valid site is a move exactly when its result is spherically
@@ -125,7 +125,8 @@ _SHAPES = {R1_INSERT: (1, 0, 1), R2_INSERT: (2, 0, 1),
 
 def _check_shape(move: MoveInstance) -> None:
     """Raise unless ``move`` has its kind's row of ``_SHAPES``, a label per gap or position,
-    bools ``over_first`` and ``parallel`` (True for a kink), int gaps and str labels."""
+    bools ``over_first`` and ``parallel`` (True for a kink), int gaps, str labels and
+    signs the int +1 or -1."""
     shape = _SHAPES.get(move.kind)
     if shape is None:
         raise IllegalMoveError(f"unknown move kind {move.kind!r}")
@@ -134,14 +135,15 @@ def _check_shape(move: MoveInstance) -> None:
             and type(move.over_first) is bool and type(move.parallel) is bool
             and (move.parallel or move.kind != R1_INSERT)
             and all(type(gap) is int for gap in move.gaps)
-            and all(type(label) is str for label in move.labels)):
+            and all(type(label) is str for label in move.labels)
+            and all(type(sign) is int and sign in (1, -1) for sign in move.signs)):
         raise IllegalMoveError(f"malformed {move.kind}: {move}")
 
 
 def _inserted_blocks(code: KnotoidCode, move: MoveInstance) -> list[tuple[int, tuple[Item, ...]]]:
     """(first position in the result, items) of each block an insertion adds,
-    in word order, once the move passes ``_check_shape``, its gaps are in
-    range and ``Item`` takes its labels."""
+    in word order, once the move passes ``_check_shape`` and its gaps are in
+    range; ``Item`` checks each new label."""
     _check_shape(move)
     if min(move.gaps) < 0 or max(move.gaps) > len(code.word):
         raise IllegalMoveError(f"{move.kind} gap out of range: {move.gaps}")
@@ -176,8 +178,7 @@ def _rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
             for p, block in _inserted_blocks(code, move):
                 word[p:p] = block
             (sign,) = move.signs
-            # a sign that is not an int is left to the code to reject, like any other bad sign
-            signs.update(zip(move.labels, (sign, -sign if type(sign) is int else sign)))
+            signs.update(zip(move.labels, (sign, -sign)))
             return KnotoidCode(word, signs)
         except CodeValidationError as exc:
             raise IllegalMoveError(f"{kind} result is not a valid code: {exc}") from None

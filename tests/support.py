@@ -549,7 +549,8 @@ def reference_rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
                     and not move.positions and type(move.over_first) is bool
                     and type(move.parallel) is bool and (move.parallel or not kink)
                     and all(type(gap) is int for gap in move.gaps)
-                    and all(type(label) is str for label in move.labels)):
+                    and all(type(label) is str for label in move.labels)
+                    and all(type(sign) is int and sign in (1, -1) for sign in move.signs)):
                 raise IllegalMoveError(f"malformed {kind}: {move}")
             if min(move.gaps) < 0 or max(move.gaps) > len(word):
                 raise IllegalMoveError(f"{kind} gap out of range: {move.gaps}")
@@ -562,7 +563,7 @@ def reference_rewrite(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
                 placed = [(g_over, not move.over_first, over),
                           (g_under, move.over_first, under if move.parallel else under[::-1])]
             (sign,) = move.signs
-            signs.update(zip(move.labels, (sign, -sign if type(sign) is int else sign)))
+            signs.update(zip(move.labels, (sign, -sign)))
             for gap, _, block in sorted(placed, key=lambda t: t[:2], reverse=True):
                 word[gap:gap] = block
         elif kind in (R1_DELETE, R2_DELETE):

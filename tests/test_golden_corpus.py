@@ -19,7 +19,11 @@ lines of text:
 * ``move_refusals``: ``apply`` and ``inverse_move`` on every listed site
   and a seeded kink and bigon insertion of the fixtures, ``D_1`` to
   ``D_3``, seeded codes and walk endpoints, each as it is and with one
-  field malformed: mostly refusals, pinned by type and text.
+  field malformed: mostly refusals, pinned by type and text;
+* ``type_refusals``: ``as_class``, a ``ModuleElement`` coefficient, the
+  scaling ``ModuleElement * n``, a ``hermite_normal_form`` row and
+  ``generate_family`` on floats, bools, strs, None, other numbers and
+  vectors with an entry that is not an int: the refusal's type and text.
 
 A code gives its ``serialize`` text, that of its parsed round trip, its
 ``full_report`` JSON and, up to 8 crossings, the skein report at each
@@ -42,6 +46,8 @@ import json
 import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -50,9 +56,11 @@ import pytest
 from knotoid_casson import (
     Item,
     KnotoidCode,
+    ModuleElement,
     MoveInstance,
     NonRealizableError,
     OVER,
+    Subgroup,
     UNDER,
     apply,
     build_planar_map,
@@ -71,6 +79,7 @@ from knotoid_casson import (
 )
 from knotoid_casson.cli import main
 from knotoid_casson.codes import fresh_labels
+from knotoid_casson.homology import as_class
 from knotoid_casson.moves import r1_delete_sites, r2_delete_sites, r3_sites
 
 HERE = Path(__file__).resolve().parent
@@ -300,6 +309,27 @@ def section_move_refusals() -> list[str]:
     return lines
 
 
+BAD_SCALARS = (1.0, 0.0, -1.0, 0.5, float("inf"), float("nan"), 2j, Fraction(3, 1), Decimal("2"),
+               True, False, "1", "", "x", "1 2", None)
+BAD_VECTORS = ((1.0,), (1, 2.0), (True,), (0, False), ("1",), (1, None), [2, 0.5], (None,),
+               [1, "2", 3], (1, 2, 3.0), ((1,),), (Fraction(1, 2), 1))
+
+
+def section_type_refusals() -> list[str]:
+    elem = ModuleElement({Subgroup.generated_by(2): 3, Subgroup.generated_by(0): -1})
+    lines = []
+    for value in BAD_SCALARS + BAD_VECTORS:
+        vector = value if isinstance(value, (tuple, list)) else (value,)
+        for name, call in (("as_class", as_class),
+                           ("ModuleElement coefficient", lambda v: ModuleElement({Subgroup.generated_by(1): v})),
+                           ("ModuleElement * n", lambda v: elem * v),
+                           ("n * ModuleElement", lambda v: v * elem),
+                           ("hermite_normal_form row", lambda v: hermite_normal_form([(2,) * len(vector), vector])),
+                           ("generate_family", generate_family)):
+            lines.append(f"{name} {value!r} -> {outcome(call, value, repr)}")
+    return lines
+
+
 SECTIONS = {
     "family": section_family,
     "products": section_products,
@@ -309,6 +339,7 @@ SECTIONS = {
     "moves": section_moves,
     "hnf": section_hnf,
     "move_refusals": section_move_refusals,
+    "type_refusals": section_type_refusals,
 }
 
 

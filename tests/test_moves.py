@@ -144,7 +144,8 @@ NOT_A_CODE = "result is not a valid code: "
 
 
 @pytest.mark.parametrize("move, message", [
-    *[(move._replace(signs=signs), NOT_A_CODE + f"sign of {move.labels[0]!r} must be")
+    # a move's sign is the int +1 or -1
+    *[(move._replace(signs=signs), "malformed")
       for move in (KINK, BIGON) for signs in ((2,), (True,), (1.0,))],
     *[(move._replace(signs=signs), "malformed")
       for move in (KINK, BIGON) for signs in ((), (1, -1))],
@@ -164,8 +165,7 @@ NOT_A_CODE = "result is not a valid code: "
     (KINK._replace(gaps=(-1,)), "gap out of range"),
     (KINK._replace(gaps=(5,)), "gap out of range"),
     (BIGON._replace(gaps=(0, 5)), "gap out of range"),
-    *[(move._replace(signs=("1",)), NOT_A_CODE + f"sign of {move.labels[0]!r} must be")
-      for move in (KINK, BIGON)],
+    *[(move._replace(signs=("1",)), "malformed") for move in (KINK, BIGON)],
     *[(move._replace(gaps=move.gaps[:-1] + (gap,)), "malformed")
       for move in (KINK, BIGON) for gap in ("1", 1.0, True)],
     (KINK._replace(labels=(5,)), "malformed"),
@@ -187,20 +187,22 @@ def test_malformed_insertions_raise_illegal_move(move, message):
 
 
 @pytest.mark.parametrize("move, message", [
-    (KINK._replace(labels=("a",), signs=(2,)), "label 'a' must occur exactly twice, once over and once under"),
-    (BIGON._replace(labels=("x", "a"), signs=(True,)), "label 'a' must occur exactly twice, once over and once under"),
+    (KINK._replace(labels=("a",), signs=(2,)), "malformed"),
+    (BIGON._replace(labels=("x", "a"), signs=(True,)), "malformed"),
     (BIGON._replace(labels=("b", "a")), "label 'a' must occur exactly twice, once over and once under"),
-    (BIGON._replace(labels=("a", "b"), signs=(1.0,)), "label 'a' must occur exactly twice, once over and once under"),
-    (BIGON._replace(labels=("a", "a"), signs=(2,)), "label 'a' must occur exactly twice, once over and once under"),
+    (BIGON._replace(labels=("a", "b"), signs=(1.0,)), "malformed"),
+    (BIGON._replace(labels=("a", "a"), signs=(2,)), "malformed"),
     (BIGON._replace(labels=("k k", "a")), "bad crossing label 'k k'"),
     (BIGON._replace(labels=("a", "k k")), "bad crossing label 'k k'"),
-    (KINK._replace(labels=("k k",), signs=(2,)), "bad crossing label 'k k'"),
+    (KINK._replace(labels=("k k",), signs=(2,)), "malformed"),
 ])
 def test_insertions_with_two_faults_raise_the_first_check_of_the_result(move, message):
     # a label that is not fresh, a second such label, a bad sign or a bad label:
-    # the error is the one building the result as a code raises first
+    # a bad sign fails the move's shape check, which comes first; otherwise the
+    # error is the one building the result as a code raises first
     code = two_one()
-    expected = (IllegalMoveError, f"{move.kind} {NOT_A_CODE}{message}")
+    text = f"malformed {move.kind}: {move}" if message == "malformed" else f"{move.kind} {NOT_A_CODE}{message}"
+    expected = (IllegalMoveError, text)
     for fn in (apply, moves._rewrite, reference_rewrite):
         assert outcome(fn, code, move) == expected
 
@@ -267,6 +269,10 @@ def test_unknown_move_kind_raises_illegal_move():
     MoveInstance(R1_DELETE, positions=(1,), labels=("a",), signs=(1,), over_first="yes"),
     MoveInstance(R3, positions=(0, 2, 4), labels=("x", "y", "z"), over_first=0),
     MoveInstance(R2_DELETE, positions=(1, 3), labels=("x", 5), signs=(1,)),
+    # a kink's or a bigon's sign is the int +1 or -1
+    *[move._replace(signs=(sign,)) for sign in (0, 2, True, 1.0, None)
+      for move in (KINK, BIGON, MoveInstance(R1_DELETE, positions=(1,), labels=("a",), signs=(1,)),
+                   MoveInstance(R2_DELETE, positions=(1, 3), labels=("x", "y"), signs=(1,)))],
 ])
 def test_inverse_of_a_malformed_move_raises_what_apply_raises(move):
     message = f"malformed {move.kind}: {move}"
